@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -101,7 +102,8 @@ BENCHMARK(BM_SpmmParallel)
     ->Args({1, 16})->Args({1, 100})->Args({1, 400})
     ->Args({2, 100})
     ->Args({4, 16})->Args({4, 100})->Args({4, 400})
-    ->Args({8, 16})->Args({8, 100})->Args({8, 400});
+    ->Args({8, 16})->Args({8, 100})->Args({8, 400})
+    ->UseRealTime();
 
 void BM_SpmmTranspose(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
@@ -143,7 +145,8 @@ void BM_SparseGradientAccumulate(benchmark::State& state) {
 BENCHMARK(BM_SparseGradientAccumulate)
     ->Args({1, 16})->Args({1, 100})->Args({1, 400})
     ->Args({4, 100})
-    ->Args({8, 16})->Args({8, 100})->Args({8, 400});
+    ->Args({8, 16})->Args({8, 100})->Args({8, 400})
+    ->UseRealTime();
 
 void BM_DenseGemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -178,20 +181,44 @@ void BM_DenseGemmParallel(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_DenseGemmParallel)
-    ->Args({2, 1024})->Args({4, 1024})->Args({8, 1024})->Args({8, 4096});
+    ->Args({2, 1024})->Args({4, 1024})->Args({8, 1024})->Args({8, 4096})
+    ->UseRealTime();
 
+// Row-split softmax over 128 rows. Args: {classes, threads}. Restoring the
+// input is untimed: the copy is serial and would blur the thread scaling.
 void BM_SoftmaxRows(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(1));
   util::Rng rng(6);
   tensor::Matrix logits(128, static_cast<std::size_t>(state.range(0)));
   tensor::init_gaussian(logits, 1.0, rng);
   tensor::Matrix scratch = logits;
+  util::ThreadPool pool(threads);
+  const kernels::Context ctx{&pool, threads};
   for (auto _ : state) {
+    state.PauseTiming();
     scratch = logits;
-    tensor::softmax_rows(scratch);
+    state.ResumeTiming();
+    tensor::softmax_rows(scratch, ctx);
     benchmark::DoNotOptimize(scratch.data());
   }
 }
-BENCHMARK(BM_SoftmaxRows)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_SoftmaxRows)
+    ->Args({1024, 1})->Args({4096, 1})->Args({4096, 2})->Args({4096, 4})
+    ->UseRealTime();
+
+// Fork/join overhead: an empty 4-range parallel_for_ranges on a 4-worker
+// pool, the caller running range 0.
+void BM_ForkJoin(benchmark::State& state) {
+  util::ThreadPool pool(4);
+  kernels::Context ctx{&pool, 4};
+  ctx.serial_grain = 0;
+  for (auto _ : state) {
+    kernels::parallel_for_ranges(ctx, 4, 0, [](std::size_t b, std::size_t e) {
+      benchmark::DoNotOptimize(b + e);
+    });
+  }
+}
+BENCHMARK(BM_ForkJoin)->UseRealTime();
 
 void BM_FullSgdStep(benchmark::State& state) {
   nn::MlpConfig cfg;
@@ -239,7 +266,7 @@ void BM_SgdStepXml(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kXmlBatch);
 }
 BENCHMARK(BM_SgdStepXml)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The seed implementation's hot path, kept here as the speedup baseline: a
 // dense F x H layer-1 gradient that is zero-filled every step, serial
@@ -505,8 +532,10 @@ BENCHMARK(BM_WeightedAllReduceNumerics)->Arg(1 << 16)->Arg(1 << 20);
 // BENCH_kernels.json (the perf-trajectory artifact tracked across PRs).
 // `--isa=scalar|avx2|avx512` pins the default dispatch table (the per-ISA
 // rows still sweep every supported ISA); HETERO_ISA does the same via the
-// environment. The recorded JSON context carries the build type and the
-// default ISA so a result file is self-describing.
+// environment. The recorded JSON context carries the build type, the
+// default ISA and the host's core count so a result file is
+// self-describing. Record the commit with it too, as in
+//   kernels_bench --benchmark_context=git_sha=$(git describe --always --dirty)
 int main(int argc, char** argv) {
   std::vector<char*> args;
   args.push_back(argv[0]);
@@ -532,6 +561,8 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "hetero_default_isa",
       hetero::vec::isa_name(hetero::vec::active_isa()));
+  benchmark::AddCustomContext(
+      "hetero_nproc", std::to_string(std::thread::hardware_concurrency()));
   int ac = static_cast<int>(args.size());
   benchmark::Initialize(&ac, args.data());
   if (benchmark::ReportUnrecognizedArguments(ac, args.data())) return 1;

@@ -87,6 +87,8 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
     }
     merge_ctx_ = kernels::Context{kernel_pool_.get(), kernel_threads};
   }
+  eval_ws_ = global_->make_workspace();
+  eval_ws_->ctx = merge_ctx_;
   last_batch_.resize(n);
   loss_slots_.resize(n);
   alive_.assign(n, 1);
@@ -849,9 +851,9 @@ void MultiGpuRuntime::broadcast_global() {
 
 void MultiGpuRuntime::record_curve_point(TrainResult& result, double vtime,
                                          std::size_t megabatch,
-                                         double train_loss) const {
+                                         double train_loss) {
   const auto eval =
-      nn::evaluate(*global_, dataset_.test, cfg_.eval_samples);
+      nn::evaluate(*global_, dataset_.test, *eval_ws_, cfg_.eval_samples);
   CurvePoint p;
   p.vtime = vtime;
   p.samples = stream_.samples_served();

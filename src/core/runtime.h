@@ -297,10 +297,10 @@ class MultiGpuRuntime {
 
   // --- evaluation -----------------------------------------------------------------
 
-  /// Evaluates the global model on the test prefix and appends a curve
-  /// point to `result`.
+  /// Evaluates the global model on the test prefix (on the kernel pool,
+  /// through a workspace kept for it) and appends a curve point to `result`.
   void record_curve_point(TrainResult& result, double vtime,
-                          std::size_t megabatch, double train_loss) const;
+                          std::size_t megabatch, double train_loss);
 
   /// Largest batch size that fits in device memory next to the model and
   /// gradients at virtual time `at` (used to validate b_max and to re-clamp
@@ -378,6 +378,8 @@ class MultiGpuRuntime {
   std::vector<std::uint32_t> merge_rows_scratch_;
   // Context for the merge kernels (scheduler-side, whole pool).
   kernels::Context merge_ctx_;
+  // Evaluation workspace of the global model; its context is merge_ctx_.
+  std::unique_ptr<nn::ModelWorkspace> eval_ws_;
 
   // Merge-payload compression state (cfg.merge_precision != kFp32).
   // Residuals live in the flat model layout (segment concatenation order),

@@ -170,7 +170,7 @@ double DeepMlp::forward_impl(const sparse::CsrMatrix& x,
   tensor::gemm(ws.acts[nh - 1], weights_[nh], ws.probs, ws.ctx);
   tensor::add_row_bias(ws.probs,
                        {biases_[nh].data(), biases_[nh].size()});
-  tensor::softmax_rows(ws.probs);
+  tensor::softmax_rows(ws.probs, ws.ctx);
 
   // Multi-label cross-entropy, uniform target over positive labels.
   double loss = 0.0;

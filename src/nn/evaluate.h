@@ -29,4 +29,12 @@ struct EvalResult {
 EvalResult evaluate(const Model& model, const sparse::LabeledDataset& test,
                     std::size_t max_samples = 0, std::size_t eval_batch = 256);
 
+/// Same, through a workspace the caller keeps (from model.make_workspace()).
+/// Its kernel context runs each batch's forward pass and top-k scan; batches
+/// run in order and each row's work is unchanged, so the result is
+/// bit-identical to the serial call at any thread count.
+EvalResult evaluate(const Model& model, const sparse::LabeledDataset& test,
+                    ModelWorkspace& ws, std::size_t max_samples = 0,
+                    std::size_t eval_batch = 256);
+
 }  // namespace hetero::nn

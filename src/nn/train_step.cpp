@@ -44,7 +44,7 @@ double forward_impl(const MlpModel& model, const sparse::CsrMatrix& x,
 
   tensor::gemm(ws.h, model.w2(), ws.probs, ws.ctx);
   tensor::add_row_bias(ws.probs, {model.b2().data(), model.b2().size()});
-  tensor::softmax_rows(ws.probs);
+  tensor::softmax_rows(ws.probs, ws.ctx);
 
   // Multi-label cross-entropy with a uniform target over positive labels:
   //   L = -(1/|P|) sum_{c in P} log p_c, averaged over the batch.

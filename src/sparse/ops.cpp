@@ -43,14 +43,9 @@ void spmm(const CsrMatrix& x, const tensor::Matrix& w, tensor::Matrix& y,
   // nnz-balanced row ranges: split the row_ptr prefix sums evenly so skewed
   // batches (a few heavy rows) do not serialize on one worker.
   const auto ranges = kernels::nnz_balanced_ranges(x.row_ptr(), workers);
-  std::vector<std::future<void>> futures;
-  futures.reserve(ranges.size());
-  for (const auto& [r0, r1] : ranges) {
-    futures.push_back(ctx.pool->submit([&run_rows, r0 = r0, r1 = r1] {
-      run_rows(r0, r1);
-    }));
-  }
-  for (auto& f : futures) f.get();
+  ctx.pool->fork_join(ranges.size(), [&](std::size_t w) {
+    run_rows(ranges[w].first, ranges[w].second);
+  });
 }
 
 void spmm_t_accumulate(const CsrMatrix& x, const tensor::Matrix& d,
@@ -84,15 +79,10 @@ void spmm_t_accumulate(const CsrMatrix& x, const tensor::Matrix& d,
 }
 
 std::vector<std::uint32_t> touched_columns(const CsrMatrix& x) {
-  std::vector<std::uint32_t> cols;
-  touched_columns(x, cols);
+  std::vector<std::uint32_t> cols(x.col_idx().begin(), x.col_idx().end());
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
   return cols;
-}
-
-void touched_columns(const CsrMatrix& x, std::vector<std::uint32_t>& out) {
-  out.assign(x.col_idx().begin(), x.col_idx().end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 std::size_t spmm_flops(const CsrMatrix& x, std::size_t w_cols) {

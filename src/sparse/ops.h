@@ -38,10 +38,9 @@ void spmm_t_accumulate(const CsrMatrix& x, const tensor::Matrix& d,
                        tensor::Matrix& g, const kernels::Context& ctx);
 
 /// Sorted, deduplicated column ids with at least one non-zero in `x` — the
-/// set of W1 rows a batch touches. The out-parameter overload reuses the
-/// caller's buffer (no per-batch allocation on the hot path).
+/// set of W1 rows a batch touches — by sort+unique. SparseGradient::reset
+/// builds the same list from a bitmap on the hot path.
 std::vector<std::uint32_t> touched_columns(const CsrMatrix& x);
-void touched_columns(const CsrMatrix& x, std::vector<std::uint32_t>& out);
 
 /// Flop count of spmm (2 * nnz * w_cols). Used by the simulator cost model.
 std::size_t spmm_flops(const CsrMatrix& x, std::size_t w_cols);

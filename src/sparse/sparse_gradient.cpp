@@ -1,9 +1,9 @@
 #include "sparse/sparse_gradient.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
-#include "sparse/ops.h"
 #include "tensor/vec/vec.h"
 
 namespace hetero::sparse {
@@ -38,7 +38,26 @@ void RowSet::sorted_rows(std::vector<std::uint32_t>& out) const {
 }
 
 void SparseGradient::reset(const CsrMatrix& x, std::size_t cols) {
-  touched_columns(x, scratch_);
+  // Mark each non-zero's column in a one-bit-per-column bitmap, then read
+  // the set bits back in ascending order: the sorted distinct columns,
+  // exactly as sort+unique gives them. Each word is cleared as it is read,
+  // so the bitmap is all zero again for the next batch.
+  const std::size_t words = (x.cols() + 63) / 64;
+  if (column_bits_.size() != words) column_bits_.assign(words, 0);
+  for (const auto c : x.col_idx()) {
+    column_bits_[c / 64] |= std::uint64_t{1} << (c % 64);
+  }
+  scratch_.clear();
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t bits = column_bits_[w];
+    if (bits == 0) continue;
+    column_bits_[w] = 0;
+    const auto base = static_cast<std::uint32_t>(w * 64);
+    for (; bits != 0; bits &= bits - 1) {
+      scratch_.push_back(base +
+                         static_cast<std::uint32_t>(std::countr_zero(bits)));
+    }
+  }
   reset(x.cols(), cols, scratch_);
 }
 

@@ -9,7 +9,8 @@
 // (touched x cols) value block, with an O(1) row -> slot map so the
 // backward scatter stays a direct lookup. The map is allocated once per
 // logical row space and re-keyed per batch in O(touched) by clearing only
-// the previously touched entries, so no per-step cost scales with F.
+// the previously touched entries. The per-batch key scans a one-bit-per-row
+// bitmap, so the only per-step cost that scales with F is F/64 word reads.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +74,8 @@ class SparseGradient {
 
   /// Re-keys to the rows touched by `x` (its distinct non-zero columns) over
   /// a logical (x.cols() x cols) matrix and zeroes the packed values.
-  /// Amortized O(batch nnz log nnz): no work proportional to x.cols() after
-  /// the first call with a given row space.
+  /// O(batch nnz + x.cols()/64): the keys come from a column bitmap that is
+  /// allocated on the first call with a given row space.
   void reset(const CsrMatrix& x, std::size_t cols);
 
   /// Re-keys to an explicit sorted, deduplicated row set.
@@ -136,6 +137,8 @@ class SparseGradient {
   std::vector<float> values_;            // packed num_rows x cols
   std::vector<std::uint32_t> slot_map_;  // logical row -> slot or kNoSlot
   std::vector<std::uint32_t> scratch_;   // touched-column buffer (reused)
+  std::vector<std::uint64_t> column_bits_;  // one bit per column; all zero
+                                            // between reset() calls
 };
 
 }  // namespace hetero::sparse

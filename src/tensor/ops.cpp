@@ -115,19 +115,26 @@ void relu_backward(const Matrix& activation, Matrix& grad) {
   vec::kernels().relu_backward(activation.data(), grad.data(), grad.size());
 }
 
-void softmax_rows(Matrix& m) {
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    float* row = m.data() + i * m.cols();
-    float mx = row[0];
-    for (std::size_t j = 1; j < m.cols(); ++j) mx = std::max(mx, row[j]);
-    float sum = 0.0f;
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      row[j] = std::exp(row[j] - mx);
-      sum += row[j];
+void softmax_rows(Matrix& m) { softmax_rows(m, kernels::Context::serial()); }
+
+void softmax_rows(Matrix& m, const kernels::Context& ctx) {
+  const std::size_t n = m.cols();
+  // std::exp dominates: count it as a handful of flops per element.
+  parallel_for_ranges(ctx, m.rows(), m.size() * 8,
+                      [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      float* row = m.data() + i * n;
+      float mx = row[0];
+      for (std::size_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
+      float sum = 0.0f;
+      for (std::size_t j = 0; j < n; ++j) {
+        row[j] = std::exp(row[j] - mx);
+        sum += row[j];
+      }
+      const float inv = 1.0f / sum;
+      for (std::size_t j = 0; j < n; ++j) row[j] *= inv;
     }
-    const float inv = 1.0f / sum;
-    for (std::size_t j = 0; j < m.cols(); ++j) row[j] *= inv;
-  }
+  });
 }
 
 void column_sums(const Matrix& m, std::span<float> out) {

@@ -55,6 +55,9 @@ void relu_backward(const Matrix& activation, Matrix& grad);
 
 /// Row-wise softmax, numerically stabilized (subtract row max).
 void softmax_rows(Matrix& m);
+/// Same, with rows split across the context's workers; each row runs the
+/// serial code, so the result is bit-identical at any thread count.
+void softmax_rows(Matrix& m, const kernels::Context& ctx);
 
 /// Column sums of `m` into `out` (length = cols). Used for bias gradients.
 void column_sums(const Matrix& m, std::span<float> out);

@@ -10,14 +10,12 @@
 // is attached.
 //
 // The context is deliberately a dumb aggregate: trainers own the pool (one
-// per runtime, shared by all virtual-GPU managers; ThreadPool::submit is
+// per runtime, shared by all virtual-GPU managers; ThreadPool::fork_join is
 // thread-safe) and hand out `Context{pool, threads}` per replica workspace,
 // which is how worker counts are configured per virtual GPU.
 #pragma once
 
 #include <cstddef>
-#include <future>
-#include <vector>
 
 #include "util/thread_pool.h"
 
@@ -53,7 +51,11 @@ struct Context {
 /// Runs fn(begin, end) over a contiguous partition of [0, n), using the
 /// context's pool when `total_work` clears the serial-fallback threshold.
 /// fn must be race-free across disjoint ranges (the kernels achieve this by
-/// always partitioning output rows). Blocks until every range completes.
+/// always partitioning output rows). Range w is [n·w/W, n·(w+1)/W) for W
+/// workers wherever it runs: the caller runs range 0 and the pool's idle
+/// workers the rest (ThreadPool::fork_join), or the caller runs them all in
+/// order when the pool is already held by another fork. Blocks until every
+/// range completes, then rethrows the first exception any range threw.
 template <typename Fn>
 void parallel_for_ranges(const Context& ctx, std::size_t n,
                          std::size_t total_work, Fn&& fn) {
@@ -64,14 +66,9 @@ void parallel_for_ranges(const Context& ctx, std::size_t n,
     fn(std::size_t{0}, n);
     return;
   }
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = n * w / workers;
-    const std::size_t end = n * (w + 1) / workers;
-    futures.push_back(ctx.pool->submit([begin, end, &fn] { fn(begin, end); }));
-  }
-  for (auto& f : futures) f.get();
+  ctx.pool->fork_join(workers, [&](std::size_t w) {
+    fn(n * w / workers, n * (w + 1) / workers);
+  });
 }
 
 }  // namespace hetero::kernels

@@ -281,6 +281,39 @@ TEST(ParallelKernels, ThreadedSgdStepBitIdenticalToSerial) {
   EXPECT_EQ(serial_model.to_flat(), threaded_model.to_flat());
 }
 
+TEST(ParallelKernels, BitmapKeysMatchSortUnique) {
+  // One gradient is re-keyed across every batch below, so a bitmap bit or
+  // slot left over from one batch would show in the next.
+  util::Rng rng(50);
+  sparse::SparseGradient g;
+  const auto expect_keys = [&](const sparse::CsrMatrix& x) {
+    g.reset(x, 3);
+    const auto want = sparse::touched_columns(x);  // sort + unique
+    ASSERT_EQ(std::vector<std::uint32_t>(g.rows().begin(), g.rows().end()),
+              want);
+    EXPECT_EQ(g.values().size(), want.size() * 3);
+    constexpr auto kNoSlot = sparse::SparseGradient::kNoSlot;
+    std::size_t slot = 0;
+    for (std::uint32_t c = 0; c < x.cols(); ++c) {
+      const bool touched = slot < want.size() && want[slot] == c;
+      EXPECT_EQ(g.slot_of(c), touched ? slot++ : kNoSlot);
+    }
+  };
+  for (const std::size_t f : {1u, 63u, 64u, 65u, 130u, 1000u}) {
+    expect_keys(sparse::CsrBuilder(f).build());  // empty batch
+    const auto last = static_cast<std::uint32_t>(f - 1);
+    sparse::CsrBuilder b(f);
+    b.add_row({{0, 1.0f}, {last, 2.0f}});
+    b.add_row({});
+    b.add_row({{last, 3.0f}});  // column F-1 again
+    b.add_row({{0, 4.0f}});     // column 0 again
+    expect_keys(b.build());
+    for (int iter = 0; iter < 4; ++iter) {
+      expect_keys(fuzz_csr(1 + rng.next_below(8), f, 0.05, rng));
+    }
+  }
+}
+
 TEST(ParallelKernels, TouchedColumnsMatchesDistinctColumns) {
   util::Rng rng(49);
   for (int iter = 0; iter < 10; ++iter) {

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "nn/evaluate.h"
 #include "nn/train_step.h"
 #include "sparse/csr.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace hetero::nn {
 namespace {
@@ -443,6 +445,35 @@ TEST(Evaluate, MatchesFullSortReference) {
     EXPECT_NEAR(fast.top5, top5 / 40.0, 1e-12) << seed;
     EXPECT_NEAR(fast.p_at_3, p3 / (3.0 * 40.0), 1e-12) << seed;
     EXPECT_NEAR(fast.p_at_5, p5 / (5.0 * 40.0), 1e-12) << seed;
+  }
+}
+
+TEST(Evaluate, ThreadedWorkspaceMatchesSerialBits) {
+  MlpConfig cfg;
+  cfg.num_features = 40;
+  cfg.hidden = 8;
+  cfg.num_classes = 30;
+  util::Rng rng(31);
+  MlpModel model(cfg);
+  model.init(rng);
+  // 90 rows in batches of 32: the last batch (26 rows) splits unevenly.
+  sparse::LabeledDataset test{make_batch_x(90, cfg.num_features, rng),
+                              make_batch_y(90, cfg.num_classes, rng, 3)};
+  const auto serial = evaluate(model, test, 0, 32);
+
+  util::ThreadPool pool(4);
+  const auto ws = model.make_workspace();
+  ws->ctx = kernels::Context{&pool, 4};
+  ws->ctx.serial_grain = 0;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int rep = 0; rep < 2; ++rep) {  // the workspace is reused
+    const auto threaded = evaluate(model, test, *ws, 0, 32);
+    EXPECT_EQ(bits(threaded.top1), bits(serial.top1));
+    EXPECT_EQ(bits(threaded.top5), bits(serial.top5));
+    EXPECT_EQ(bits(threaded.p_at_3), bits(serial.p_at_3));
+    EXPECT_EQ(bits(threaded.p_at_5), bits(serial.p_at_5));
+    EXPECT_EQ(bits(threaded.loss), bits(serial.loss));
+    EXPECT_EQ(threaded.samples, serial.samples);
   }
 }
 

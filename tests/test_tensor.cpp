@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 
 #include "tensor/matrix.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace hetero::tensor {
 namespace {
@@ -191,6 +194,33 @@ TEST(Ops, SoftmaxPreservesOrder) {
   m(0, 3) = 0.5f;
   softmax_rows(m);
   EXPECT_EQ(argmax(m.row(0)), 1u);
+}
+
+TEST(Ops, SoftmaxRowsThreadedBitIdenticalToSerial) {
+  // Row counts that no worker count divides evenly, with rows of large and
+  // of -inf logits.
+  const float inf = std::numeric_limits<float>::infinity();
+  util::Rng rng(23);
+  for (const std::size_t rows : {1u, 5u, 7u, 13u}) {
+    Matrix base = random_matrix(rows, 37, rng);
+    for (auto& v : base.flat()) v *= 20.0f;
+    base(0, 4) = 88.0f;
+    base(0, 9) = 1.0e4f;
+    base(rows - 1, 0) = -inf;
+    base(rows - 1, 36) = -inf;
+    Matrix serial = base;
+    softmax_rows(serial);
+    for (std::size_t threads = 1; threads <= 4; ++threads) {
+      util::ThreadPool pool(threads);
+      kernels::Context ctx{&pool, threads};
+      ctx.serial_grain = 0;
+      Matrix m = base;
+      softmax_rows(m, ctx);
+      EXPECT_EQ(std::memcmp(m.data(), serial.data(), m.size() * sizeof(float)),
+                0)
+          << rows << " rows, " << threads << " threads";
+    }
+  }
 }
 
 TEST(Ops, ColumnSums) {

@@ -2,17 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/csv.h"
 #include "util/event_queue.h"
+#include "util/kernel_context.h"
 #include "util/thread_pool.h"
 
 namespace hetero::util {
@@ -56,6 +59,118 @@ TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
   ThreadPool pool(1);
   auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
+}
+
+// Context that forks for any amount of work, so tiny n still takes the pool.
+kernels::Context fork_ctx(ThreadPool& pool, std::size_t threads) {
+  kernels::Context ctx{&pool, threads};
+  ctx.serial_grain = 0;
+  return ctx;
+}
+
+TEST(ForkJoin, JoinWaitsForEveryRangeBeforeRethrowing) {
+  // Range 0 throws at once while the others are still sleeping. The join
+  // must not hand the exception to the caller (whose frame owns fn) until
+  // every range has finished.
+  std::atomic<int> finished{0};
+  const auto fn = [&](std::size_t begin, std::size_t) {
+    if (begin == 0) throw std::runtime_error("range 0");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ++finished;
+  };
+  ThreadPool pool(4);  // declared last: joins any range still running
+  int finished_at_throw = -1;
+  try {
+    kernels::parallel_for_ranges(fork_ctx(pool, 4), 4, 0, fn);
+  } catch (const std::runtime_error&) {
+    finished_at_throw = finished.load();
+  }
+  EXPECT_EQ(finished_at_throw, 3);
+}
+
+TEST(ForkJoin, ParallelForFinishesEveryIndexBeforeRethrowing) {
+  std::atomic<int> finished{0};
+  const auto fn = [&](std::size_t i) {
+    if (i == 0) throw std::runtime_error("index 0");
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ++finished;
+  };
+  ThreadPool pool(3);
+  int finished_at_throw = -1;
+  try {
+    pool.parallel_for(6, fn);
+  } catch (const std::runtime_error&) {
+    finished_at_throw = finished.load();
+  }
+  EXPECT_EQ(finished_at_throw, 5);
+}
+
+TEST(ForkJoin, CoversEachRangeOnceForSmallCounts) {
+  ThreadPool pool(4);
+  for (std::size_t n = 0; n <= 6; ++n) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.fork_join(n, [&](std::size_t r) { ++hits[r]; });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "fork_join " << n;
+
+    std::vector<std::atomic<int>> items(n);
+    kernels::parallel_for_ranges(fork_ctx(pool, 4), n, 0,
+                                 [&](std::size_t b, std::size_t e) {
+                                   for (std::size_t i = b; i < e; ++i) {
+                                     ++items[i];
+                                   }
+                                 });
+    for (auto& h : items) EXPECT_EQ(h.load(), 1) << "ranges " << n;
+  }
+}
+
+TEST(ForkJoin, ConcurrentForksOnOnePoolEachCoverOnce) {
+  // Four threads fork on one pool at once: one holds the pool, the others
+  // run inline. Plain ints: the join must order every range's writes
+  // before the caller's reads (TSan checks this).
+  ThreadPool pool(4);
+  const auto ctx = fork_ctx(pool, 4);
+  constexpr std::size_t kN = 37;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      std::vector<int> hits(kN);
+      for (int round = 0; round < 200; ++round) {
+        std::fill(hits.begin(), hits.end(), 0);
+        kernels::parallel_for_ranges(ctx, kN, 0,
+                                     [&](std::size_t b, std::size_t e) {
+                                       for (std::size_t i = b; i < e; ++i) {
+                                         ++hits[i];
+                                       }
+                                     });
+        for (const int h : hits) wrong += h != 1;
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ForkJoin, NestedForksCoverOnce) {
+  ThreadPool pool(4);
+  const auto ctx = fork_ctx(pool, 4);
+  constexpr std::size_t kOuter = 5, kInner = 7;
+  std::vector<int> hits(kOuter * kInner);
+  const auto nested = [&] {
+    std::fill(hits.begin(), hits.end(), 0);
+    kernels::parallel_for_ranges(
+        ctx, kOuter, 0, [&](std::size_t ob, std::size_t oe) {
+          for (std::size_t o = ob; o < oe; ++o) {
+            kernels::parallel_for_ranges(
+                ctx, kInner, 0, [&](std::size_t b, std::size_t e) {
+                  for (std::size_t i = b; i < e; ++i) ++hits[o * kInner + i];
+                });
+          }
+        });
+    for (const int h : hits) EXPECT_EQ(h, 1);
+  };
+  nested();                      // from an outside thread
+  pool.submit(nested).get();     // from one of the pool's own workers
 }
 
 TEST(EventQueue, FifoOrder) {
