@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "nn/train_step.h"
+#include "nn/model.h"
 #include "sim/virtual_gpu.h"
 #include "util/stats.h"
 
@@ -20,14 +20,13 @@ namespace {
 void run_profile(const char* name, std::vector<sim::DeviceSpec> specs,
                  const data::XmlDataset& dataset,
                  const core::TrainerConfig& cfg) {
-  nn::MlpConfig model_cfg;
-  model_cfg.num_features = dataset.train.features.cols();
-  model_cfg.num_classes = dataset.train.labels.cols();
-  model_cfg.hidden = cfg.hidden;
+  const std::size_t hidden[] = {cfg.hidden};
+  const auto model = nn::make_model(dataset.train.features.cols(), hidden,
+                                    dataset.train.labels.cols());
 
   // One identical batch for every GPU and every trial.
   const auto batch = dataset.train.features.slice_rows(0, cfg.batch_max);
-  auto kernels = nn::step_kernels(model_cfg, batch);
+  auto kernels = model->step_kernels(batch);
   for (auto& k : kernels) {
     k.flops *= cfg.compute_scale;
     k.bytes *= cfg.compute_scale;

@@ -4,7 +4,7 @@
 // exist to keep the reference kernels honest as the code evolves.
 //
 // The parallel-backend benchmarks sweep worker threads x batch sparsity for
-// the sparsity-aware hot path (spmm, touched-row gradient, full sgd_step at
+// the sparsity-aware hot path (spmm, touched-row gradient, full SGD step at
 // XML-like shape) against BM_SgdStepXmlSeedReference, a faithful re-creation
 // of the seed implementation's serial dense-gradient step (per-step
 // O(F x H) zero-fill + sort/unique in the update). Unless the caller passes
@@ -21,7 +21,7 @@
 #include "bench_common.h"
 #include "comm/allreduce.h"
 #include "core/merging.h"
-#include "nn/train_step.h"
+#include "nn/deep_mlp.h"
 #include "sim/profiles.h"
 #include "slide/simhash.h"
 #include "sparse/ops.h"
@@ -220,19 +220,23 @@ void BM_ForkJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_ForkJoin)->UseRealTime();
 
-void BM_FullSgdStep(benchmark::State& state) {
-  nn::MlpConfig cfg;
-  cfg.num_features = 8192;
-  cfg.hidden = 64;
-  cfg.num_classes = static_cast<std::size_t>(state.range(0));
+// The paper's 3-layer model (one hidden layer), initialized from seed 7.
+nn::DeepMlp make_mlp(std::size_t features, std::size_t hidden,
+                     std::size_t classes) {
+  nn::DeepMlp model({features, {hidden}, classes});
   util::Rng rng(7);
-  nn::MlpModel model(cfg);
   model.init(rng);
-  const auto x = make_sparse_batch(128, cfg.num_features, 76, 8);
-  const auto y = make_labels(128, cfg.num_classes, 7);
-  nn::Workspace ws;
+  return model;
+}
+
+void BM_FullSgdStep(benchmark::State& state) {
+  const auto classes = static_cast<std::size_t>(state.range(0));
+  auto model = make_mlp(8192, 64, classes);
+  const auto x = make_sparse_batch(128, 8192, 76, 8);
+  const auto y = make_labels(128, classes, 7);
+  const auto ws = model.make_workspace();
   for (auto _ : state) {
-    nn::sgd_step(model, x, y, 0.01f, ws);
+    model.train_step(x, y, 0.01f, *ws);
   }
   state.SetItemsProcessed(state.iterations() * 128);
 }
@@ -244,24 +248,17 @@ constexpr std::size_t kXmlNnzPerRow = 100;     // 0.0048% density
 constexpr std::size_t kXmlClasses = 512;
 constexpr std::size_t kXmlBatch = 128;
 
-// End-to-end sgd_step on the sparsity-aware backend. Args: {threads}.
+// End-to-end SGD step on the sparsity-aware backend. Args: {threads}.
 void BM_SgdStepXml(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  nn::MlpConfig cfg;
-  cfg.num_features = kXmlFeatures;
-  cfg.hidden = 64;
-  cfg.num_classes = kXmlClasses;
-  util::Rng rng(7);
-  nn::MlpModel model(cfg);
-  model.init(rng);
-  const auto x = make_sparse_batch(kXmlBatch, cfg.num_features,
-                                   kXmlNnzPerRow, 8);
-  const auto y = make_labels(kXmlBatch, cfg.num_classes, 9);
-  nn::Workspace ws;
+  auto model = make_mlp(kXmlFeatures, 64, kXmlClasses);
+  const auto x = make_sparse_batch(kXmlBatch, kXmlFeatures, kXmlNnzPerRow, 8);
+  const auto y = make_labels(kXmlBatch, kXmlClasses, 9);
+  const auto ws = model.make_workspace();
   util::ThreadPool pool(threads);
-  if (threads > 1) ws.ctx = kernels::Context{&pool, threads};
+  if (threads > 1) ws->ctx = kernels::Context{&pool, threads};
   for (auto _ : state) {
-    nn::sgd_step(model, x, y, 0.01f, ws);
+    model.train_step(x, y, 0.01f, *ws);
   }
   state.SetItemsProcessed(state.iterations() * kXmlBatch);
 }
@@ -272,46 +269,43 @@ BENCHMARK(BM_SgdStepXml)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // dense F x H layer-1 gradient that is zero-filled every step, serial
 // kernels throughout, and a per-update sort/unique of the batch columns.
 void BM_SgdStepXmlSeedReference(benchmark::State& state) {
-  nn::MlpConfig cfg;
-  cfg.num_features = kXmlFeatures;
-  cfg.hidden = 64;
-  cfg.num_classes = kXmlClasses;
-  util::Rng rng(7);
-  nn::MlpModel model(cfg);
-  model.init(rng);
-  const auto x = make_sparse_batch(kXmlBatch, cfg.num_features,
-                                   kXmlNnzPerRow, 8);
-  const auto y = make_labels(kXmlBatch, cfg.num_classes, 9);
+  const std::size_t h = 64;
+  auto model = make_mlp(kXmlFeatures, h, kXmlClasses);
+  const auto x = make_sparse_batch(kXmlBatch, kXmlFeatures, kXmlNnzPerRow, 8);
+  const auto y = make_labels(kXmlBatch, kXmlClasses, 9);
+  auto& w1 = model.weights(0);
+  auto& b1 = model.biases(0);
+  auto& w2 = model.weights(1);
+  auto& b2 = model.biases(1);
 
-  const std::size_t h = cfg.hidden;
   tensor::Matrix h_pre, hact, probs, delta2, delta1;
-  tensor::Matrix grad_w1(cfg.num_features, h, 0.0f);
+  tensor::Matrix grad_w1(kXmlFeatures, h, 0.0f);
   tensor::Matrix grad_w2;
   std::vector<float> grad_b1, grad_b2;
   const float lr = 0.01f;
 
   for (auto _ : state) {
     // Forward.
-    sparse::spmm(x, model.w1(), h_pre);
-    tensor::add_row_bias(h_pre, {model.b1().data(), model.b1().size()});
+    sparse::spmm(x, w1, h_pre);
+    tensor::add_row_bias(h_pre, {b1.data(), b1.size()});
     hact = h_pre;
     tensor::relu(hact);
-    tensor::gemm(hact, model.w2(), probs);
-    tensor::add_row_bias(probs, {model.b2().data(), model.b2().size()});
+    tensor::gemm(hact, w2, probs);
+    tensor::add_row_bias(probs, {b2.data(), b2.size()});
     tensor::softmax_rows(probs);
     // Backward.
     delta2 = probs;
     for (std::size_t r = 0; r < x.rows(); ++r) {
       const auto labels = y.row_cols(r);
       const float share = 1.0f / static_cast<float>(labels.size());
-      float* dd = delta2.data() + r * cfg.num_classes;
+      float* dd = delta2.data() + r * kXmlClasses;
       for (auto c : labels) dd[c] -= share;
     }
     tensor::scale(delta2.flat(), 1.0f / static_cast<float>(x.rows()));
     tensor::gemm_at_b(hact, delta2, grad_w2);
-    grad_b2.assign(cfg.num_classes, 0.0f);
+    grad_b2.assign(kXmlClasses, 0.0f);
     tensor::column_sums(delta2, {grad_b2.data(), grad_b2.size()});
-    tensor::gemm_a_bt(delta2, model.w2(), delta1);
+    tensor::gemm_a_bt(delta2, w2, delta1);
     tensor::relu_backward(h_pre, delta1);
     grad_w1.fill(0.0f);  // the O(F x H) per-step cost the backend removes
     sparse::spmm_t_accumulate(x, delta1, grad_w1);
@@ -322,16 +316,14 @@ void BM_SgdStepXmlSeedReference(benchmark::State& state) {
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
     for (auto row : touched) {
-      float* w = model.w1().data() + static_cast<std::size_t>(row) * h;
+      float* w = w1.data() + static_cast<std::size_t>(row) * h;
       const float* g = grad_w1.data() + static_cast<std::size_t>(row) * h;
       for (std::size_t j = 0; j < h; ++j) w[j] -= lr * g[j];
     }
-    tensor::axpy(-lr, {grad_b1.data(), grad_b1.size()},
-                 {model.b1().data(), model.b1().size()});
-    tensor::axpy(-lr, grad_w2.flat(), model.w2().flat());
-    tensor::axpy(-lr, {grad_b2.data(), grad_b2.size()},
-                 {model.b2().data(), model.b2().size()});
-    benchmark::DoNotOptimize(model.w1().data());
+    tensor::axpy(-lr, {grad_b1.data(), grad_b1.size()}, {b1.data(), b1.size()});
+    tensor::axpy(-lr, grad_w2.flat(), w2.flat());
+    tensor::axpy(-lr, {grad_b2.data(), grad_b2.size()}, {b2.data(), b2.size()});
+    benchmark::DoNotOptimize(w1.data());
   }
   state.SetItemsProcessed(state.iterations() * kXmlBatch);
 }
@@ -341,21 +333,15 @@ BENCHMARK(BM_SgdStepXmlSeedReference)->Unit(benchmark::kMillisecond);
 // so the perf plumbing (threaded kernels included) is exercised on every
 // tier-1 run without paying for the full sweep.
 void BM_SmokeSgdStep(benchmark::State& state) {
-  nn::MlpConfig cfg;
-  cfg.num_features = 256;
-  cfg.hidden = 16;
-  cfg.num_classes = 32;
-  util::Rng rng(7);
-  nn::MlpModel model(cfg);
-  model.init(rng);
-  const auto x = make_sparse_batch(16, cfg.num_features, 8, 8);
-  const auto y = make_labels(16, cfg.num_classes, 9);
-  nn::Workspace ws;
+  auto model = make_mlp(256, 16, 32);
+  const auto x = make_sparse_batch(16, 256, 8, 8);
+  const auto y = make_labels(16, 32, 9);
+  const auto ws = model.make_workspace();
   util::ThreadPool pool(2);
-  ws.ctx = kernels::Context{&pool, 2};
-  ws.ctx.serial_grain = 0;  // force the threaded path even at this size
+  ws->ctx = kernels::Context{&pool, 2};
+  ws->ctx.serial_grain = 0;  // force the threaded path even at this size
   for (auto _ : state) {
-    nn::sgd_step(model, x, y, 0.01f, ws);
+    model.train_step(x, y, 0.01f, *ws);
   }
   state.SetItemsProcessed(state.iterations() * 16);
 }

@@ -27,15 +27,17 @@
 #include <cstring>
 #include <numeric>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "comm/allreduce.h"
 #include "comm/quant.h"
 #include "core/adaptive_sgd.h"
 #include "core/merging.h"
 #include "data/synthetic.h"
 #include "nn/deep_mlp.h"
-#include "nn/mlp.h"
 #include "sim/profiles.h"
 #include "sparse/sparse_gradient.h"
 #include "tensor/vec/vec.h"
@@ -63,23 +65,22 @@ void fill_pattern(std::span<float> v, std::uint32_t seed) {
   }
 }
 
+// Global, momentum and replica models over one hidden list; {kHidden} is
+// the paper's 3-layer model.
 struct MergeSetup {
-  nn::MlpConfig cfg;
-  std::vector<nn::MlpModel> replicas;
-  nn::MlpModel global;
-  nn::MlpModel prev;
+  nn::DeepMlp global;
+  nn::DeepMlp prev;
+  std::vector<nn::DeepMlp> replicas;
   std::vector<double> weights;
-  // Per-replica touched W1 rows (delta path only).
+  // Per-replica touched W1 rows (delta paths only).
   std::vector<sparse::RowSet> touched;
 
-  MergeSetup(std::size_t features, std::size_t hidden, std::size_t classes,
-             std::size_t num_replicas, std::size_t touched_permille) {
-    cfg.num_features = features;
-    cfg.hidden = hidden;
-    cfg.num_classes = classes;
-    global = nn::MlpModel(cfg);
+  MergeSetup(std::size_t features, std::vector<std::size_t> hidden,
+             std::size_t classes, std::size_t num_replicas,
+             std::size_t touched_permille)
+      : global({features, std::move(hidden), classes}), prev(global) {
     for (auto seg : global.segment_views()) fill_pattern(seg, 1);
-    prev = global;
+    prev.copy_from(global);
     for (std::size_t i = 0; i < num_replicas; ++i) {
       replicas.push_back(global);
       // Perturb a slice so the first merge does real mixing work.
@@ -106,8 +107,14 @@ struct MergeSetup {
     }
   }
 
+  std::size_t features() const { return global.info().input_rows(); }
+  std::size_t hidden() const { return global.info().input_cols(); }
+  std::int64_t num_parameters() const {
+    return static_cast<std::int64_t>(global.num_parameters());
+  }
+
   void broadcast() {
-    for (auto& r : replicas) r = global;
+    for (auto& r : replicas) r.copy_from(global);
   }
 };
 
@@ -160,6 +167,9 @@ void run_fused_dense_merge(MergeSetup& s, const kernels::Context& ctx) {
   s.broadcast();
 }
 
+// The sparse_merge path as the runtime runs it for any depth: delta-merge
+// segment 0 (the sparse input layer) over the touched-row union, fused
+// dense merge for every remaining [W,b] segment.
 void run_fused_delta_merge(MergeSetup& s, sparse::RowSet& merge_union,
                            std::vector<std::uint32_t>& sorted,
                            const kernels::Context& ctx) {
@@ -171,90 +181,11 @@ void run_fused_delta_merge(MergeSetup& s, sparse::RowSet& merge_union,
   auto prev_segs = s.prev.segment_views();
   std::vector<const float*> bases(s.replicas.size());
   for (std::size_t i = 0; i < s.replicas.size(); ++i) {
-    bases[i] = s.replicas[i].w1().data();
+    bases[i] = s.replicas[i].weights(0).data();
   }
-  core::merge_touched_rows(bases, sorted, s.cfg.hidden, u,
-                           s.global.w1().data(), s.prev.w1().data(), ctx);
-  core::merge_untouched_rows(merge_union, s.cfg.num_features, s.cfg.hidden,
-                             u, global_segs[0], prev_segs[0], ctx);
-  for (std::size_t seg = 1; seg < global_segs.size(); ++seg) {
-    for (std::size_t i = 0; i < s.replicas.size(); ++i) {
-      bases[i] = s.replicas[i].segment_views()[seg].data();
-    }
-    core::merge_segment(bases, global_segs[seg].size(), u, global_segs[seg],
-                        prev_segs[seg], kStreams, ctx);
-  }
-  s.broadcast();
-}
-
-// Deep-model variant of the fused delta merge, run exactly as the runtime
-// now does it for any nn::Model: delta-merge segment 0 (the sparse input
-// layer) over the touched-row union, fused dense merge for every remaining
-// [W,b] segment of the layer stack.
-struct DeepMergeSetup {
-  nn::DeepMlpConfig cfg;
-  nn::DeepMlp global;
-  nn::DeepMlp prev;
-  std::vector<nn::DeepMlp> replicas;
-  std::vector<double> weights;
-  std::vector<sparse::RowSet> touched;
-
-  static nn::DeepMlpConfig make_cfg(std::size_t features) {
-    nn::DeepMlpConfig c;
-    c.num_features = features;
-    c.hidden = {kHidden, kHidden / 2};
-    c.num_classes = kClasses;
-    return c;
-  }
-
-  DeepMergeSetup(std::size_t features, std::size_t num_replicas,
-                 std::size_t touched_permille)
-      : cfg(make_cfg(features)), global(cfg), prev(cfg) {
-    for (auto seg : global.segment_views()) fill_pattern(seg, 1);
-    prev.copy_from(global);
-    for (std::size_t i = 0; i < num_replicas; ++i) {
-      replicas.push_back(global);
-      auto w0 = replicas.back().segment_views()[0];
-      fill_pattern(w0.subspan(0, std::min<std::size_t>(w0.size(), 4096)),
-                   static_cast<std::uint32_t>(17 * (i + 1)));
-    }
-    const double base = 1.0 / static_cast<double>(num_replicas);
-    for (std::size_t i = 0; i < num_replicas; ++i) {
-      weights.push_back(base * (i % 2 == 0 ? 1.1 : 0.9));
-    }
-    util::Rng rng(99);
-    const std::size_t target = features * touched_permille / 1000;
-    touched.resize(num_replicas);
-    for (auto& set : touched) {
-      set.reset(features);
-      std::uint32_t row[1];
-      while (set.size() < target) {
-        row[0] = static_cast<std::uint32_t>(rng.next_below(features));
-        set.add(row);
-      }
-    }
-  }
-};
-
-void run_fused_delta_merge_deep(DeepMergeSetup& s,
-                                sparse::RowSet& merge_union,
-                                std::vector<std::uint32_t>& sorted,
-                                const kernels::Context& ctx) {
-  const core::MergeUpdate u{s.weights, kGamma, true};
-  merge_union.clear();
-  for (const auto& t : s.touched) merge_union.add(t);
-  merge_union.sorted_rows(sorted);
-  auto global_segs = s.global.segment_views();
-  auto prev_segs = s.prev.segment_views();
-  const auto& info = s.global.info();
-  const std::size_t hidden = info.input_cols();
-  std::vector<const float*> bases(s.replicas.size());
-  for (std::size_t i = 0; i < s.replicas.size(); ++i) {
-    bases[i] = s.replicas[i].segment_views()[0].data();
-  }
-  core::merge_touched_rows(bases, sorted, hidden, u, global_segs[0].data(),
-                           prev_segs[0].data(), ctx);
-  core::merge_untouched_rows(merge_union, info.input_rows(), hidden, u,
+  core::merge_touched_rows(bases, sorted, s.hidden(), u,
+                           global_segs[0].data(), prev_segs[0].data(), ctx);
+  core::merge_untouched_rows(merge_union, s.features(), s.hidden(), u,
                              global_segs[0], prev_segs[0], ctx);
   for (std::size_t seg = 1; seg < global_segs.size(); ++seg) {
     for (std::size_t i = 0; i < s.replicas.size(); ++i) {
@@ -263,7 +194,7 @@ void run_fused_delta_merge_deep(DeepMergeSetup& s,
     core::merge_segment(bases, global_segs[seg].size(), u, global_segs[seg],
                         prev_segs[seg], kStreams, ctx);
   }
-  for (auto& r : s.replicas) r.copy_from(s.global);
+  s.broadcast();
 }
 
 // Quantized delta merge (DESIGN.md §10): the same work merge_and_update
@@ -286,14 +217,15 @@ struct QuantDeltaScratch {
   comm::LossScaleGuard guard;
 
   void build(MergeSetup& s) {
-    merge_union.reset(s.cfg.num_features);
+    merge_union.reset(s.features());
     for (const auto& t : s.touched) merge_union.add(t);
     merge_union.sorted_rows(sorted);
     const auto segs = s.global.segment_views();
+    const std::size_t hidden = s.hidden();
     std::size_t dst = 0;
     for (const auto row : sorted) {
-      groups.push_back({0, row * s.cfg.hidden, dst, s.cfg.hidden});
-      dst += s.cfg.hidden;
+      groups.push_back({0, row * hidden, dst, hidden});
+      dst += hidden;
     }
     for (std::size_t seg = 1; seg < segs.size(); ++seg) {
       for (std::size_t off = 0; off < segs[seg].size();
@@ -389,13 +321,12 @@ void run_quantized_delta_merge(MergeSetup& s, comm::MergePrecision prec,
   };
   auto global_segs = s.global.segment_views();
   auto prev_segs = s.prev.segment_views();
-  core::merge_touched_rows_quantized(region(0, 0), qs.sorted, s.cfg.hidden,
+  core::merge_touched_rows_quantized(region(0, 0), qs.sorted, s.hidden(),
                                      wsum, u, global_segs[0].data(),
                                      prev_segs[0].data(), ctx);
-  core::merge_untouched_rows(qs.merge_union, s.cfg.num_features,
-                             s.cfg.hidden, u, global_segs[0], prev_segs[0],
-                             ctx);
-  std::size_t code_off = qs.sorted.size() * s.cfg.hidden;
+  core::merge_untouched_rows(qs.merge_union, s.features(), s.hidden(), u,
+                             global_segs[0], prev_segs[0], ctx);
+  std::size_t code_off = qs.sorted.size() * s.hidden();
   std::size_t scale_off = qs.sorted.size();
   for (std::size_t seg = 1; seg < global_segs.size(); ++seg) {
     const std::size_t len = global_segs[seg].size();
@@ -429,53 +360,50 @@ void run_quantized_delta_merge(MergeSetup& s, comm::MergePrecision prec,
 
 // args: {log2(features), replicas}
 void BM_MergePr1Path(benchmark::State& state) {
-  MergeSetup s(std::size_t{1} << state.range(0), kHidden, kClasses,
+  MergeSetup s(std::size_t{1} << state.range(0), {kHidden}, kClasses,
                static_cast<std::size_t>(state.range(1)), 0);
   std::vector<float> global_flat = s.global.to_flat();
   std::vector<float> prev_flat = global_flat;
   std::vector<double> acc;
   for (auto _ : state) {
     run_pr1_merge(s, global_flat, prev_flat, acc);
-    benchmark::DoNotOptimize(s.global.w1().data());
+    benchmark::DoNotOptimize(s.global.weights(0).data());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(s.cfg.num_parameters()));
+  state.SetItemsProcessed(state.iterations() * s.num_parameters());
 }
 
 // args: {log2(features), replicas, threads}
 void BM_MergeFusedDense(benchmark::State& state) {
-  MergeSetup s(std::size_t{1} << state.range(0), kHidden, kClasses,
+  MergeSetup s(std::size_t{1} << state.range(0), {kHidden}, kClasses,
                static_cast<std::size_t>(state.range(1)), 0);
   const auto threads = static_cast<std::size_t>(state.range(2));
   util::ThreadPool pool(threads);
   const kernels::Context ctx{threads > 1 ? &pool : nullptr, threads};
   for (auto _ : state) {
     run_fused_dense_merge(s, ctx);
-    benchmark::DoNotOptimize(s.global.w1().data());
+    benchmark::DoNotOptimize(s.global.weights(0).data());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(s.cfg.num_parameters()));
+  state.SetItemsProcessed(state.iterations() * s.num_parameters());
 }
 
 // args: {log2(features), replicas, threads, per-replica touched permille}
 void BM_MergeFusedDelta(benchmark::State& state) {
-  MergeSetup s(std::size_t{1} << state.range(0), kHidden, kClasses,
+  MergeSetup s(std::size_t{1} << state.range(0), {kHidden}, kClasses,
                static_cast<std::size_t>(state.range(1)),
                static_cast<std::size_t>(state.range(3)));
   const auto threads = static_cast<std::size_t>(state.range(2));
   util::ThreadPool pool(threads);
   const kernels::Context ctx{threads > 1 ? &pool : nullptr, threads};
   sparse::RowSet merge_union;
-  merge_union.reset(s.cfg.num_features);
+  merge_union.reset(s.features());
   std::vector<std::uint32_t> sorted;
   for (auto _ : state) {
     run_fused_delta_merge(s, merge_union, sorted, ctx);
-    benchmark::DoNotOptimize(s.global.w1().data());
+    benchmark::DoNotOptimize(s.global.weights(0).data());
   }
   state.counters["union_rows"] =
       static_cast<double>(merge_union.size());
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(s.cfg.num_parameters()));
+  state.SetItemsProcessed(state.iterations() * s.num_parameters());
 }
 
 // Headline acceptance shape: 2M features, 0.005% density => ~23% of W1 rows
@@ -519,7 +447,7 @@ BENCHMARK(BM_MergeFusedDelta)
 // the simulated transfer size next to the fp32 delta payload, so one JSON
 // row carries precision x payload x merge-time.
 void BM_MergeQuantizedDelta(benchmark::State& state) {
-  MergeSetup s(std::size_t{1} << state.range(0), kHidden, kClasses,
+  MergeSetup s(std::size_t{1} << state.range(0), {kHidden}, kClasses,
                static_cast<std::size_t>(state.range(1)),
                static_cast<std::size_t>(state.range(3)));
   const auto prec = static_cast<comm::MergePrecision>(state.range(4));
@@ -530,7 +458,7 @@ void BM_MergeQuantizedDelta(benchmark::State& state) {
   qs.build(s);
   for (auto _ : state) {
     run_quantized_delta_merge(s, prec, qs, ctx);
-    benchmark::DoNotOptimize(s.global.w1().data());
+    benchmark::DoNotOptimize(s.global.weights(0).data());
   }
   const auto wire = comm::wire_payload(
       prec, qs.groups.size(), qs.elems);
@@ -539,8 +467,7 @@ void BM_MergeQuantizedDelta(benchmark::State& state) {
   state.counters["wire_bytes"] = static_cast<double>(wire.total());
   state.counters["fp32_payload_bytes"] =
       static_cast<double>(qs.elems * sizeof(float));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(s.cfg.num_parameters()));
+  state.SetItemsProcessed(state.iterations() * s.num_parameters());
 }
 BENCHMARK(BM_MergeQuantizedDelta)
     ->Args({21, 4, 8, 226, 1})
@@ -620,22 +547,21 @@ BENCHMARK(BM_HierarchicalMergeCost)
 // two-layer MLP, merged through the same generic segment path the runtime
 // uses for any nn::Model.
 void BM_MergeFusedDeltaDeep(benchmark::State& state) {
-  DeepMergeSetup s(std::size_t{1} << state.range(0),
-                   static_cast<std::size_t>(state.range(1)),
-                   static_cast<std::size_t>(state.range(3)));
+  MergeSetup s(std::size_t{1} << state.range(0), {kHidden, kHidden / 2},
+               kClasses, static_cast<std::size_t>(state.range(1)),
+               static_cast<std::size_t>(state.range(3)));
   const auto threads = static_cast<std::size_t>(state.range(2));
   util::ThreadPool pool(threads);
   const kernels::Context ctx{threads > 1 ? &pool : nullptr, threads};
   sparse::RowSet merge_union;
-  merge_union.reset(s.cfg.num_features);
+  merge_union.reset(s.features());
   std::vector<std::uint32_t> sorted;
   for (auto _ : state) {
-    run_fused_delta_merge_deep(s, merge_union, sorted, ctx);
-    benchmark::DoNotOptimize(s.global.segment_views()[0].data());
+    run_fused_delta_merge(s, merge_union, sorted, ctx);
+    benchmark::DoNotOptimize(s.global.weights(0).data());
   }
   state.counters["union_rows"] = static_cast<double>(merge_union.size());
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(s.cfg.num_parameters()));
+  state.SetItemsProcessed(state.iterations() * s.num_parameters());
 }
 BENCHMARK(BM_MergeFusedDeltaDeep)
     ->Args({21, 4, 8, 226})
@@ -647,8 +573,8 @@ BENCHMARK(BM_MergeFusedDeltaDeep)
 // paths — including the int8/fp16 quantized delta merge — plus JSON
 // emission without paying for the sweep).
 void BM_SmokeMergePaths(benchmark::State& state) {
-  MergeSetup s(4096, 16, 64, 2, 100);
-  DeepMergeSetup deep(4096, 2, 100);
+  MergeSetup s(4096, {16}, 64, 2, 100);
+  MergeSetup deep(4096, {kHidden, kHidden / 2}, kClasses, 2, 100);
   util::ThreadPool pool(2);
   kernels::Context ctx{&pool, 2};
   ctx.serial_grain = 1;
@@ -656,10 +582,10 @@ void BM_SmokeMergePaths(benchmark::State& state) {
   std::vector<float> prev_flat = global_flat;
   std::vector<double> acc;
   sparse::RowSet merge_union;
-  merge_union.reset(s.cfg.num_features);
+  merge_union.reset(s.features());
   std::vector<std::uint32_t> sorted;
   sparse::RowSet deep_union;
-  deep_union.reset(deep.cfg.num_features);
+  deep_union.reset(deep.features());
   std::vector<std::uint32_t> deep_sorted;
   QuantDeltaScratch qs8, qs16;
   qs8.build(s);
@@ -670,9 +596,9 @@ void BM_SmokeMergePaths(benchmark::State& state) {
     run_fused_delta_merge(s, merge_union, sorted, ctx);
     run_quantized_delta_merge(s, comm::MergePrecision::kInt8, qs8, ctx);
     run_quantized_delta_merge(s, comm::MergePrecision::kFp16, qs16, ctx);
-    run_fused_delta_merge_deep(deep, deep_union, deep_sorted, ctx);
-    benchmark::DoNotOptimize(s.global.w1().data());
-    benchmark::DoNotOptimize(deep.global.segment_views()[0].data());
+    run_fused_delta_merge(deep, deep_union, deep_sorted, ctx);
+    benchmark::DoNotOptimize(s.global.weights(0).data());
+    benchmark::DoNotOptimize(deep.global.weights(0).data());
   }
 }
 BENCHMARK(BM_SmokeMergePaths)->Unit(benchmark::kMicrosecond);
@@ -693,6 +619,12 @@ int main(int argc, char** argv) {
     args.push_back(out_flag);
     args.push_back(fmt_flag);
   }
+  benchmark::AddCustomContext("hetero_build_type", hetero::bench::build_type());
+  benchmark::AddCustomContext(
+      "hetero_default_isa",
+      hetero::vec::isa_name(hetero::vec::active_isa()));
+  benchmark::AddCustomContext(
+      "hetero_nproc", std::to_string(std::thread::hardware_concurrency()));
   int ac = static_cast<int>(args.size());
   benchmark::Initialize(&ac, args.data());
   if (benchmark::ReportUnrecognizedArguments(ac, args.data())) return 1;

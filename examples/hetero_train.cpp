@@ -13,7 +13,8 @@
 //       --batch-min 4 --net-gbs 12.5 --fault-plan "partition@2.0+1.0:node1"
 //
 // Methods: adaptive | elastic | sync | crossbow | async | slide
-// Models:  mlp (single hidden layer) | deep (--hidden takes a comma list)
+// Models:  mlp (single hidden layer) | deep (--hidden takes a comma list);
+// both build the same sparse-input MLP.
 // --optimizer sgd|adam|adamw|adagrad picks the update rule (sgd default,
 // bit-identical to the pre-optimizer builds); --moment-merge
 // average|keep|reset governs Adam/Adagrad state at merge boundaries.
@@ -150,17 +151,14 @@ int run(int argc, char** argv) {
   const auto resume_from = args.get_string("resume-from", "");
   if (args.report_unknown()) return 1;
 
-  nn::ModelKind model_kind;
-  if (model_name == "mlp") {
-    model_kind = nn::ModelKind::kMlp;
-  } else if (model_name == "deep") {
-    model_kind = nn::ModelKind::kDeep;
-  } else {
+  // Both names build the same nn::DeepMlp; mlp only insists on the paper's
+  // single hidden layer.
+  if (model_name != "mlp" && model_name != "deep") {
     std::fprintf(stderr, "unknown --model %s (expected mlp or deep)\n",
                  model_name.c_str());
     return 1;
   }
-  if (model_kind == nn::ModelKind::kMlp && hidden_layers.size() != 1) {
+  if (model_name == "mlp" && hidden_layers.size() != 1) {
     std::fprintf(stderr,
                  "--model mlp takes exactly one hidden width; "
                  "use --model deep for a layer list\n");
@@ -179,7 +177,6 @@ int run(int argc, char** argv) {
   data::print_stats_row(std::cout, data::compute_stats(dataset));
 
   core::TrainerConfig cfg;
-  cfg.model_kind = model_kind;
   cfg.hidden = hidden_layers.front();
   cfg.hidden_layers = hidden_layers;
   cfg.batch_max = batch_max;

@@ -18,7 +18,6 @@
 
 #include "comm/allreduce.h"
 #include "core/merging.h"
-#include "nn/model.h"
 #include "nn/optimizer.h"
 #include "sim/device.h"
 
@@ -31,15 +30,13 @@ enum class ExecutionMode {
 
 struct TrainerConfig {
   // --- model -----------------------------------------------------------
-  /// Architecture family (nn::make_model). kMlp is the paper's 3-layer
-  /// model; kDeep enables multi-layer stacks via `hidden_layers`.
-  nn::ModelKind model_kind = nn::ModelKind::kMlp;
+  /// Hidden width of the paper's 3-layer model (nn::make_model), used when
+  /// `hidden_layers` is empty.
   std::size_t hidden = 64;
-  /// Hidden widths for kDeep (one or more). Empty = {hidden}, so existing
-  /// configs keep working unchanged.
+  /// Hidden widths, one per hidden layer (one or more). Empty = {hidden}.
   std::vector<std::size_t> hidden_layers;
 
-  /// Effective hidden-layer list for the configured model kind.
+  /// Effective hidden-layer list.
   std::vector<std::size_t> derived_hidden_layers() const {
     return hidden_layers.empty() ? std::vector<std::size_t>{hidden}
                                  : hidden_layers;

@@ -43,8 +43,7 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
   const auto hidden_layers = cfg.derived_hidden_layers();
 
   util::Rng init_rng(cfg.seed);
-  global_ = nn::make_model(cfg.model_kind, num_features, hidden_layers,
-                           num_classes);
+  global_ = nn::make_model(num_features, hidden_layers, num_classes);
   global_->init(init_rng);
   prev_global_ = global_->clone();
   global_optimizer_ = nn::Optimizer::make(cfg_.optimizer, *global_);

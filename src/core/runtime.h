@@ -339,8 +339,8 @@ class MultiGpuRuntime {
   // cfg.kernel_threads resolves to 1); workspaces hold Contexts into it.
   std::unique_ptr<util::ThreadPool> kernel_pool_;
 
-  // Polymorphic model state (nn::make_model from cfg.model_kind): the
-  // runtime never names a concrete architecture.
+  // Model state behind the nn::Model interface (nn::make_model from the
+  // configured hidden list): the runtime never names a concrete class.
   std::unique_ptr<nn::Model> global_;
   // Previous global model for the momentum term (Algorithm 2 line 8); kept
   // as a model so the merge runs segment-wise in place — no flat staging

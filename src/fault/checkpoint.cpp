@@ -122,12 +122,24 @@ std::string serialize_model(const nn::Model& model) {
   return out.str();
 }
 
+/// "features x hidden... x classes", e.g. "64x8x4x16".
+std::string shape_string(const nn::ModelInfo& info) {
+  std::string s = std::to_string(info.num_features);
+  for (const std::size_t h : info.hidden) s += "x" + std::to_string(h);
+  return s + "x" + std::to_string(info.num_classes);
+}
+
 void copy_blob_into(const std::string& blob, nn::Model& target) {
   std::istringstream in(blob, std::ios::binary);
   const auto loaded = nn::load_any_model(in);
-  if (loaded->num_parameters() != target.num_parameters()) {
-    throw std::runtime_error(
-        "checkpoint: model parameter count does not match runtime");
+  // The shape, not the parameter count: 91x6x16 and 64x8x16 both hold 664.
+  const auto& got = loaded->info();
+  const auto& want = target.info();
+  if (got.num_features != want.num_features || got.hidden != want.hidden ||
+      got.num_classes != want.num_classes) {
+    throw std::runtime_error("checkpoint: model shape " + shape_string(got) +
+                             " does not match runtime " +
+                             shape_string(want));
   }
   target.copy_from(*loaded);
 }

@@ -1,18 +1,18 @@
-// Arbitrary-depth sparse-input MLP — the framework-generality extension.
+// The sparse-input MLP: sparse input -> H1 -> ... -> Hk -> softmax, with
+// ReLU hidden activations and a multi-label cross-entropy loss.
 //
-// The paper evaluates on the SLIDE testbed's 3-layer MLP (one hidden
-// layer), which MlpModel implements; HeteroGPU itself is positioned as a
-// framework "for sparse deep learning" in general, and the journal version
-// evaluates deeper sparse architectures. DeepMlp provides them
-// (sparse input -> H1 -> ... -> Hk -> softmax) on the same fast path as
-// MlpModel: parallel kernels::Context-routed math, a touched-row
-// SparseGradient for the sparse input layer, reused per-layer workspace
-// buffers, and in-place segment_views for the sharded/delta merge.
+// With one hidden layer this is the paper's evaluation model, the SLIDE
+// testbed's 3-layer MLP (Section V-A); the journal version evaluates deeper
+// sparse stacks. DeepMlp is the only nn::Model: `--model mlp` and
+// `--model deep` both build it. The math routes through the workspace's
+// kernels::Context (parallel, bit-identical to serial), the sparse input
+// layer keeps a touched-row SparseGradient, per-layer workspace buffers
+// are reused, and segment_views expose the parameters in place for the
+// sharded/delta merge.
 //
-// With a single hidden layer, DeepMlp runs the exact same kernel sequence
-// in the exact same order as MlpModel, so its results (and virtual-GPU
-// costs) are bit-identical to the shallow model — tested in
-// tests/test_model_polymorphic.cpp.
+// The one-hidden-layer kernel order, loss bits and virtual-GPU cost report
+// are pinned by tests/test_deep_mlp.cpp and tests/test_model_polymorphic.cpp:
+// every default run's model and virtual time depend on them.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +52,10 @@ struct DeepWorkspace : ModelWorkspace {
   std::vector<tensor::Matrix> grad_w;  // dense layers 1..L-1 (index l-1)
   std::vector<std::vector<float>> grad_b;  // all layers
 
+  /// Sizes the forward buffers (pre, acts) only: evaluation never reads
+  /// the gradient buffers, so forward_loss does not allocate them.
+  void ensure_forward(const DeepMlpConfig& cfg);
+  /// Sizes the forward buffers plus deltas and gradients.
   void ensure(const DeepMlpConfig& cfg);
 
   std::span<const std::uint32_t> touched_input_rows() const override {
@@ -114,9 +118,11 @@ class DeepMlp : public Model {
                                 double avg_nnz) const override;
 
   /// Layer weight matrices / biases (layer 0 is the sparse input layer).
+  tensor::Matrix& weights(std::size_t layer) { return weights_[layer]; }
   const tensor::Matrix& weights(std::size_t layer) const {
     return weights_[layer];
   }
+  std::vector<float>& biases(std::size_t layer) { return biases_[layer]; }
   const std::vector<float>& biases(std::size_t layer) const {
     return biases_[layer];
   }

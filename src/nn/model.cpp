@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "nn/deep_mlp.h"
-#include "nn/mlp.h"
 
 namespace hetero::nn {
 
@@ -20,17 +19,7 @@ double Model::squared_distance(const Model& other) const {
   return ss;
 }
 
-std::string to_string(ModelKind kind) {
-  switch (kind) {
-    case ModelKind::kMlp:
-      return "mlp";
-    case ModelKind::kDeep:
-      return "deep";
-  }
-  return "unknown";
-}
-
-std::unique_ptr<Model> make_model(ModelKind kind, std::size_t num_features,
+std::unique_ptr<Model> make_model(std::size_t num_features,
                                   std::span<const std::size_t> hidden,
                                   std::size_t num_classes) {
   if (hidden.empty()) {
@@ -41,28 +30,11 @@ std::unique_ptr<Model> make_model(ModelKind kind, std::size_t num_features,
       throw std::invalid_argument("hidden layer sizes must be positive");
     }
   }
-  switch (kind) {
-    case ModelKind::kMlp: {
-      if (hidden.size() != 1) {
-        throw std::invalid_argument(
-            "--model mlp takes exactly one hidden width (use --model deep "
-            "for multi-layer architectures)");
-      }
-      MlpConfig cfg;
-      cfg.num_features = num_features;
-      cfg.hidden = hidden.front();
-      cfg.num_classes = num_classes;
-      return std::make_unique<MlpModel>(cfg);
-    }
-    case ModelKind::kDeep: {
-      DeepMlpConfig cfg;
-      cfg.num_features = num_features;
-      cfg.hidden.assign(hidden.begin(), hidden.end());
-      cfg.num_classes = num_classes;
-      return std::make_unique<DeepMlp>(cfg);
-    }
-  }
-  throw std::invalid_argument("unknown model kind");
+  DeepMlpConfig cfg;
+  cfg.num_features = num_features;
+  cfg.hidden.assign(hidden.begin(), hidden.end());
+  cfg.num_classes = num_classes;
+  return std::make_unique<DeepMlp>(cfg);
 }
 
 }  // namespace hetero::nn

@@ -1,10 +1,10 @@
 // Model abstraction: the contract between a neural network and the
 // multi-GPU training stack.
 //
-// The paper's evaluation model is a 3-layer MLP (MlpModel), but HeteroGPU is
-// positioned as a framework for sparse deep learning in general, and the
-// journal version evaluates deeper architectures. Everything above this
-// interface — MultiGpuRuntime, the trainers, the fused merge kernels in
+// The paper's evaluation model is a 3-layer MLP (one hidden layer), and the
+// journal version evaluates deeper sparse MLPs; nn::DeepMlp implements both
+// and is the one implementation (make_model builds it). Everything above
+// this interface — MultiGpuRuntime, the trainers, the fused merge kernels in
 // core/merging, the sharded all-reduce, checkpointing, the CLI — is written
 // against nn::Model, so a new architecture plugs into the whole stack
 // (dynamic scheduling, delta merging, cost accounting, serialization) by
@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "sim/cost_model.h"
@@ -183,15 +182,10 @@ class Model {
   double squared_distance(const Model& other) const;
 };
 
-/// Registered model families the runtime/CLI can instantiate.
-enum class ModelKind { kMlp, kDeep };
-
-std::string to_string(ModelKind kind);
-
-/// Factory: builds a model of `kind` over the given architecture.
-/// kMlp requires exactly one hidden width; kDeep accepts one or more.
-/// Throws std::invalid_argument on an empty hidden list or a zero width.
-std::unique_ptr<Model> make_model(ModelKind kind, std::size_t num_features,
+/// Factory: builds the sparse-input MLP (nn::DeepMlp) with one hidden layer
+/// per entry of `hidden`. Throws std::invalid_argument on an empty hidden
+/// list or a zero width.
+std::unique_ptr<Model> make_model(std::size_t num_features,
                                   std::span<const std::size_t> hidden,
                                   std::size_t num_classes);
 

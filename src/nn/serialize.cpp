@@ -15,7 +15,7 @@ namespace hetero::nn {
 
 namespace {
 constexpr char kMagic[4] = {'H', 'G', 'P', 'U'};
-constexpr std::uint32_t kVersionMlp = 1;
+constexpr std::uint32_t kVersionOneHidden = 1;
 constexpr std::uint32_t kVersionLayerList = 2;
 // Sanity bound for v2 headers: a corrupt num_hidden must fail fast instead
 // of driving a multi-gigabyte allocation.
@@ -78,14 +78,14 @@ void read_params(std::istream& in, Model& model) {
 }  // namespace
 
 void save_model(std::ostream& out, const Model& model) {
+  const auto& info = model.info();
   out.write(kMagic, sizeof(kMagic));
-  if (const auto* mlp = dynamic_cast<const MlpModel*>(&model)) {
-    write_pod(out, kVersionMlp);
-    write_pod(out, static_cast<std::uint64_t>(mlp->config().num_features));
-    write_pod(out, static_cast<std::uint64_t>(mlp->config().hidden));
-    write_pod(out, static_cast<std::uint64_t>(mlp->config().num_classes));
+  if (info.hidden.size() == 1) {
+    write_pod(out, kVersionOneHidden);
+    write_pod(out, static_cast<std::uint64_t>(info.num_features));
+    write_pod(out, static_cast<std::uint64_t>(info.hidden.front()));
+    write_pod(out, static_cast<std::uint64_t>(info.num_classes));
   } else {
-    const auto& info = model.info();
     write_pod(out, kVersionLayerList);
     write_pod(out, static_cast<std::uint64_t>(info.hidden.size()));
     write_pod(out, static_cast<std::uint64_t>(info.num_features));
@@ -110,7 +110,7 @@ std::unique_ptr<Model> load_any_model(std::istream& in) {
     bad_blob(in, "bad magic");
   }
   const auto version = read_pod<std::uint32_t>(in);
-  if (version == kVersionMlp) {
+  if (version == kVersionOneHidden) {
     const auto num_features = read_pod<std::uint64_t>(in);
     const auto hidden = read_pod<std::uint64_t>(in);
     const auto num_classes = read_pod<std::uint64_t>(in);
@@ -122,11 +122,11 @@ std::unique_ptr<Model> load_any_model(std::istream& in) {
         static_cast<unsigned __int128>(num_features) * hidden + hidden +
         static_cast<unsigned __int128>(hidden) * num_classes + num_classes;
     check_params_present(in, params);
-    MlpConfig cfg;
+    DeepMlpConfig cfg;
     cfg.num_features = static_cast<std::size_t>(num_features);
-    cfg.hidden = static_cast<std::size_t>(hidden);
+    cfg.hidden = {static_cast<std::size_t>(hidden)};
     cfg.num_classes = static_cast<std::size_t>(num_classes);
-    auto model = std::make_unique<MlpModel>(cfg);
+    auto model = std::make_unique<DeepMlp>(cfg);
     read_params(in, *model);
     return model;
   }
@@ -169,32 +169,6 @@ std::unique_ptr<Model> load_any_model_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("model checkpoint: cannot open " + path);
   return load_any_model(in);
-}
-
-MlpModel load_model(std::istream& in) {
-  const auto any = load_any_model(in);
-  if (const auto* mlp = dynamic_cast<const MlpModel*>(any.get())) {
-    return *mlp;
-  }
-  const auto& info = any->info();
-  if (info.hidden.size() != 1) {
-    throw std::runtime_error(
-        "model checkpoint: not loadable as a single-hidden-layer MLP");
-  }
-  // v2 checkpoint with one hidden layer: same flat layout as MlpModel.
-  MlpConfig cfg;
-  cfg.num_features = info.num_features;
-  cfg.hidden = info.hidden.front();
-  cfg.num_classes = info.num_classes;
-  MlpModel model(cfg);
-  model.from_flat(any->to_flat());
-  return model;
-}
-
-MlpModel load_model_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("model checkpoint: cannot open " + path);
-  return load_model(in);
 }
 
 }  // namespace hetero::nn

@@ -1,6 +1,6 @@
 // Model checkpointing: a small self-describing binary format.
 //
-// Version 1 (single-hidden-layer MLP):
+// Version 1 (one hidden layer):
 //   magic "HGPU" | version=1 u32 | num_features u64 | hidden u64 |
 //   num_classes u64 | float32 parameters in to_flat() order (W1, b1, W2, b2).
 //
@@ -9,8 +9,10 @@
 //   hidden[0..num_hidden) u64 | num_classes u64 | float32 parameters in
 //   to_flat() order (W_l, b_l per layer).
 //
-// save_model writes v1 for an MlpModel — old checkpoints and old readers
-// keep working byte-for-byte — and v2 for everything else. Little-endian
+// save_model picks the format from the shape: v1 for one hidden layer — old
+// checkpoints and old readers keep working byte-for-byte — and v2 for
+// deeper stacks. Both versions load into a DeepMlp, including one-hidden-
+// layer v2 files written before the shape decided the format. Little-endian
 // host order (the format is a local checkpoint, not a wire protocol).
 #pragma once
 
@@ -18,28 +20,20 @@
 #include <memory>
 #include <string>
 
-#include "nn/mlp.h"
 #include "nn/model.h"
 
 namespace hetero::nn {
 
 /// Writes the model; throws std::runtime_error on I/O failure.
-/// MlpModel is written as v1 (byte-identical to the legacy format);
-/// any other model kind is written as v2.
+/// One hidden layer is written as v1, more as v2.
 void save_model(std::ostream& out, const Model& model);
 void save_model_file(const std::string& path, const Model& model);
 
-/// Reads a checkpoint of any supported version; throws hetero::ParseError
-/// (a std::runtime_error) on malformed input — bad magic, truncation, and
-/// headers whose implied parameter payload exceeds the remaining stream
-/// size (checked before any allocation). v1 yields an MlpModel, v2 a
-/// DeepMlp.
+/// Reads a checkpoint of any supported version into a DeepMlp; throws
+/// hetero::ParseError (a std::runtime_error) on malformed input — bad
+/// magic, truncation, and headers whose implied parameter payload exceeds
+/// the remaining stream size (checked before any allocation).
 std::unique_ptr<Model> load_any_model(std::istream& in);
 std::unique_ptr<Model> load_any_model_file(const std::string& path);
-
-/// Legacy readers: accept only checkpoints loadable as a single-hidden-layer
-/// MlpModel (v1, or v2 with exactly one hidden layer).
-MlpModel load_model(std::istream& in);
-MlpModel load_model_file(const std::string& path);
 
 }  // namespace hetero::nn

@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <fstream>
 #include <vector>
@@ -10,7 +9,6 @@
 
 #include "fault/checkpoint.h"
 #include "nn/deep_mlp.h"
-#include "nn/mlp.h"
 #include "nn/serialize.h"
 #include "sparse/ops.h"
 #include "tensor/ops.h"
@@ -28,32 +26,29 @@ std::string serialize_model(const nn::Model& model) {
   return std::move(out).str();
 }
 
+nn::DeepMlp copy_of(const nn::Model& global) {
+  const auto& info = global.info();
+  nn::DeepMlp net({info.num_features, info.hidden, info.num_classes});
+  net.copy_from(global);
+  return net;
+}
+
 }  // namespace
 
 ModelSnapshot::ModelSnapshot(const nn::Model& global, std::uint64_t version,
                              double vtime, const LshParams& lsh)
-    : model_(global.clone()),
+    : model_(copy_of(global)),
       version_(version),
       vtime_(vtime),
-      blob_(serialize_model(*model_)),
-      lsh_(lsh) {
-  // Resolve per-layer weight/bias views once. Scoring reads these raw
-  // pointers; the clone they point into lives exactly as long as we do.
-  if (const auto* mlp = dynamic_cast<const nn::MlpModel*>(model_.get())) {
-    weights_ = {&mlp->w1(), &mlp->w2()};
-    biases_ = {mlp->b1(), mlp->b2()};
-  } else if (const auto* deep =
-                 dynamic_cast<const nn::DeepMlp*>(model_.get())) {
-    const std::size_t layers = deep->info().num_layers();
-    for (std::size_t l = 0; l < layers; ++l) {
-      weights_.push_back(&deep->weights(l));
-      biases_.emplace_back(deep->biases(l));
-    }
-  } else {
-    throw std::invalid_argument(
-        "ModelSnapshot: unknown model kind (no layer accessors)");
-  }
-  assert(weights_.size() == info().num_layers());
+      blob_(serialize_model(model_)),
+      lsh_(lsh) {}
+
+const tensor::Matrix& ModelSnapshot::output_weights() const {
+  return model_.weights(info().hidden.size());
+}
+
+std::span<const float> ModelSnapshot::output_bias() const {
+  return model_.biases(info().hidden.size());
 }
 
 void ModelSnapshot::forward_hidden(const sparse::CsrMatrix& x,
@@ -61,20 +56,20 @@ void ModelSnapshot::forward_hidden(const sparse::CsrMatrix& x,
   const std::size_t hidden_layers = info().hidden.size();
   s.acts.resize(hidden_layers);
   const auto ctx = kernels::Context::serial();
-  sparse::spmm(x, *weights_[0], s.acts[0], ctx);
-  tensor::add_row_bias(s.acts[0], biases_[0]);
+  sparse::spmm(x, model_.weights(0), s.acts[0], ctx);
+  tensor::add_row_bias(s.acts[0], model_.biases(0));
   tensor::relu(s.acts[0]);
   for (std::size_t l = 1; l < hidden_layers; ++l) {
-    tensor::gemm(s.acts[l - 1], *weights_[l], s.acts[l], ctx);
-    tensor::add_row_bias(s.acts[l], biases_[l]);
+    tensor::gemm(s.acts[l - 1], model_.weights(l), s.acts[l], ctx);
+    tensor::add_row_bias(s.acts[l], model_.biases(l));
     tensor::relu(s.acts[l]);
   }
 }
 
 void ModelSnapshot::score_output(QueryScratch& s) const {
-  tensor::gemm(s.acts.back(), *weights_.back(), s.logits,
+  tensor::gemm(s.acts.back(), output_weights(), s.logits,
                kernels::Context::serial());
-  tensor::add_row_bias(s.logits, biases_.back());
+  tensor::add_row_bias(s.logits, output_bias());
 }
 
 void ModelSnapshot::topk_exact(const QueryScratch& s, std::size_t row,
@@ -85,7 +80,7 @@ void ModelSnapshot::topk_exact(const QueryScratch& s, std::size_t row,
 
 const ModelSnapshot::LshBundle& ModelSnapshot::lsh_bundle() const {
   std::call_once(lsh_once_, [this] {
-    const tensor::Matrix& wout = *weights_.back();  // H x C
+    const tensor::Matrix& wout = output_weights();  // H x C
     const std::size_t h = wout.rows(), c = wout.cols();
     auto bundle = std::make_unique<LshBundle>(LshBundle{
         tensor::Matrix(),
@@ -108,7 +103,7 @@ const ModelSnapshot::LshBundle& ModelSnapshot::lsh_bundle() const {
     }
     // Asymmetric MIPS transform (see LshBundle): equalize augmented item
     // norms at M so SimHash collisions rank by dot + bias.
-    const auto& bias = biases_.back();
+    const auto bias = output_bias();
     double m2 = 0.0;
     std::vector<double> item_norm2(c);
     for (std::size_t j = 0; j < c; ++j) {
@@ -152,7 +147,7 @@ const ModelSnapshot::LshBundle& ModelSnapshot::lsh_bundle() const {
 float ModelSnapshot::candidate_score(std::span<const float> h,
                                      std::uint32_t label) const {
   return static_cast<float>(tensor::dot(h, bundle_->wout_t.row(label))) +
-         biases_.back()[label];
+         output_bias()[label];
 }
 
 bool ModelSnapshot::topk_lsh(std::size_t row, std::size_t k, QueryScratch& s,

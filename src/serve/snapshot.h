@@ -5,9 +5,9 @@
 // their cached snapshot with one atomic version load per wave and never
 // block the merge path. A snapshot owns everything a query needs:
 //
-//   - a deep clone of the nn::Model at publication time,
-//   - per-layer weight/bias views resolved once (no virtual dispatch or
-//     dynamic_cast on the hot path),
+//   - a copy of the global model at publication time, held as the concrete
+//     nn::DeepMlp so scoring reads its layer tensors directly (no virtual
+//     dispatch on the hot path),
 //   - the model's serialized HGPU blob, eagerly captured so a snapshot can
 //     be dumped to disk and is byte-comparable to the global-model blob
 //     inside an HGCK checkpoint taken at the same boundary,
@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "nn/model.h"
+#include "nn/deep_mlp.h"
 #include "serve/topk.h"
 #include "slide/lsh_table.h"
 #include "sparse/csr.h"
@@ -67,16 +67,15 @@ struct QueryScratch {
 
 class ModelSnapshot {
  public:
-  /// Deep-copies `global`. Throws std::invalid_argument for model kinds
-  /// without per-layer weight accessors (MlpModel and DeepMlp are known).
+  /// Deep-copies `global` (an nn::DeepMlp, the one model class).
   ModelSnapshot(const nn::Model& global, std::uint64_t version, double vtime,
                 const LshParams& lsh);
 
   std::uint64_t version() const { return version_; }
   /// Virtual training time at publication (freshness reference point).
   double vtime() const { return vtime_; }
-  const nn::ModelInfo& info() const { return model_->info(); }
-  const nn::Model& model() const { return *model_; }
+  const nn::ModelInfo& info() const { return model_.info(); }
+  const nn::Model& model() const { return model_; }
 
   /// Serialized HGPU bytes of the model, captured at construction.
   /// Byte-identical to the `global_blob` of a checkpoint taken at the same
@@ -132,16 +131,14 @@ class ModelSnapshot {
 
   const LshBundle& lsh_bundle() const;
   float candidate_score(std::span<const float> h, std::uint32_t label) const;
+  const tensor::Matrix& output_weights() const;  // H_last x C
+  std::span<const float> output_bias() const;
 
-  std::unique_ptr<nn::Model> model_;
+  nn::DeepMlp model_;
   std::uint64_t version_ = 0;
   double vtime_ = 0.0;
   std::string blob_;
   LshParams lsh_;
-
-  // Resolved layer views into *model_ (layers 0..L-2 hidden, L-1 output).
-  std::vector<const tensor::Matrix*> weights_;
-  std::vector<std::span<const float>> biases_;
 
   mutable std::once_flag lsh_once_;
   mutable std::unique_ptr<LshBundle> bundle_;

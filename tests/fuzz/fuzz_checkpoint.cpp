@@ -10,8 +10,7 @@
 #include <stdexcept>
 
 #include "fault/checkpoint.h"
-#include "nn/deep_mlp.h"
-#include "nn/mlp.h"
+#include "nn/model.h"
 #include "nn/serialize.h"
 #include "util/error.h"
 #include "util/fuzz.h"
@@ -22,24 +21,18 @@ namespace {
 namespace fuzz = util::fuzz;
 
 std::string serialized_model_v1() {
-  nn::MlpConfig cfg;
-  cfg.num_features = 12;
-  cfg.hidden = 6;
-  cfg.num_classes = 4;
-  nn::MlpModel model(cfg);
+  const std::size_t hidden[] = {6};
+  const auto model = nn::make_model(12, hidden, 4);
   std::ostringstream out(std::ios::binary);
-  nn::save_model(out, model);
+  nn::save_model(out, *model);
   return out.str();
 }
 
 std::string serialized_model_v2() {
-  nn::DeepMlpConfig cfg;
-  cfg.num_features = 10;
-  cfg.hidden = {8, 5};
-  cfg.num_classes = 3;
-  nn::DeepMlp model(cfg);
+  const std::size_t hidden[] = {8, 5};
+  const auto model = nn::make_model(10, hidden, 3);
   std::ostringstream out(std::ios::binary);
-  nn::save_model(out, model);
+  nn::save_model(out, *model);
   return out.str();
 }
 

@@ -15,7 +15,7 @@
 #include <string>
 
 #include "fault/checkpoint.h"
-#include "nn/mlp.h"
+#include "nn/model.h"
 #include "nn/serialize.h"
 #include "util/error.h"
 #include "util/fuzz.h"
@@ -26,13 +26,10 @@ namespace {
 namespace fuzz = util::fuzz;
 
 std::string serialized_model() {
-  nn::MlpConfig cfg;
-  cfg.num_features = 12;
-  cfg.hidden = 6;
-  cfg.num_classes = 4;
-  nn::MlpModel model(cfg);
+  const std::size_t hidden[] = {6};
+  const auto model = nn::make_model(12, hidden, 4);
   std::ostringstream out(std::ios::binary);
-  nn::save_model(out, model);
+  nn::save_model(out, *model);
   return out.str();
 }
 

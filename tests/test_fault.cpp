@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "fault/checkpoint.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "nn/model.h"
+#include "nn/serialize.h"
 #include "sim/profiles.h"
 #include "sim/trace.h"
 #include "util/error.h"
@@ -845,6 +848,61 @@ TEST_F(FaultTest, RestoreRejectsMismatchedTrainer) {
                                       sim::v100_heterogeneous(2));
   EXPECT_THROW(fault::restore_checkpoint(other_seed, ckpt),
                std::runtime_error);
+}
+
+// Restoring a model of another shape but the same parameter count must fail
+// with both shapes named, before any parameter is copied.
+void expect_shape_rejected(core::AdaptiveSgdTrainer& source,
+                           core::AdaptiveSgdTrainer& target,
+                           std::size_t features,
+                           std::span<const std::size_t> hidden,
+                           std::size_t classes, const std::string& got,
+                           const std::string& want) {
+  const auto impostor = nn::make_model(features, hidden, classes);
+  ASSERT_EQ(impostor->num_parameters(),
+            target.runtime().global_model().num_parameters());
+  std::ostringstream blob(std::ios::binary);
+  nn::save_model(blob, *impostor);
+  auto ckpt = fault::capture_checkpoint(source);
+  ckpt.global_blob = blob.str();
+  ckpt.prev_global_blob = blob.str();
+  const auto before = target.runtime().global_model().to_flat();
+  try {
+    fault::restore_checkpoint(target, ckpt);
+    ADD_FAILURE() << "restored a " << got << " model into " << want;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(got), std::string::npos) << what;
+    EXPECT_NE(what.find(want), std::string::npos) << what;
+  }
+  EXPECT_EQ(target.runtime().global_model().to_flat(), before);
+}
+
+TEST_F(FaultTest, RestoreRejectsOneHiddenModelOfSameCountOtherShape) {
+  // 1089x4x64 and the runtime's 512x8x64 both hold 4680 parameters.
+  auto cfg = config();
+  cfg.hidden = 8;
+  cfg.num_megabatches = 1;
+  core::AdaptiveSgdTrainer source(dataset_, cfg, sim::v100_heterogeneous(2));
+  source.train();
+  core::AdaptiveSgdTrainer target(dataset_, cfg, sim::v100_heterogeneous(2));
+  const std::size_t hidden[] = {4};
+  expect_shape_rejected(source, target, 1089, hidden, 64, "1089x4x64",
+                        "512x8x64");
+}
+
+TEST_F(FaultTest, RestoreRejectsOneHiddenModelIntoDeepRuntime) {
+  // 563x7x64 and the runtime's 512x8x4x64 both hold 4460 parameters; a
+  // copy across layer counts would read past the source's layer list.
+  auto cfg = config();
+  cfg.hidden_layers = {8, 4};
+  cfg.num_megabatches = 1;
+  core::AdaptiveSgdTrainer source(dataset_, cfg, sim::v100_heterogeneous(2));
+  source.train();
+  core::AdaptiveSgdTrainer target(dataset_, cfg, sim::v100_heterogeneous(2));
+  const std::size_t hidden[] = {7};
+  expect_shape_rejected(source, target, 563, hidden, 64, "563x7x64",
+                        "512x8x4x64");
 }
 
 TEST_F(FaultTest, ResumeWithFaultPlanSkipsAlreadyAppliedEvents) {

@@ -12,7 +12,7 @@
 #include <cmath>
 #include <vector>
 
-#include "nn/train_step.h"
+#include "nn/model.h"
 #include "sparse/csr.h"
 #include "sparse/ops.h"
 #include "sparse/sparse_gradient.h"
@@ -252,33 +252,34 @@ TEST(SparseGradient, AddScaledAccumulates) {
 TEST(ParallelKernels, ThreadedSgdStepBitIdenticalToSerial) {
   util::ThreadPool pool(4);
   util::Rng rng(47);
-  nn::MlpConfig cfg;
-  cfg.num_features = 80;
-  cfg.hidden = 16;
-  cfg.num_classes = 12;
-  nn::MlpModel serial_model(cfg), threaded_model(cfg);
-  serial_model.init(rng);
-  threaded_model.from_flat(serial_model.to_flat());
+  constexpr std::size_t kFeatures = 80;
+  constexpr std::size_t kClasses = 12;
+  const std::size_t hidden[] = {16};
+  const auto serial_model = nn::make_model(kFeatures, hidden, kClasses);
+  const auto threaded_model = nn::make_model(kFeatures, hidden, kClasses);
+  serial_model->init(rng);
+  threaded_model->from_flat(serial_model->to_flat());
 
-  nn::Workspace ws_serial, ws_threaded;
-  ws_threaded.ctx = eager_ctx(pool, 4);
+  const auto ws_serial = serial_model->make_workspace();
+  const auto ws_threaded = threaded_model->make_workspace();
+  ws_threaded->ctx = eager_ctx(pool, 4);
 
   util::Rng data_rng(48);
   for (int step = 0; step < 5; ++step) {
-    const auto x = fuzz_csr(6, cfg.num_features, 0.1, data_rng,
+    const auto x = fuzz_csr(6, kFeatures, 0.1, data_rng,
                             /*allow_empty_rows=*/false);
-    sparse::CsrBuilder yb(cfg.num_classes);
+    sparse::CsrBuilder yb(kClasses);
     for (std::size_t r = 0; r < 6; ++r) {
       yb.add_indicator_row(
-          {static_cast<std::uint32_t>(data_rng.next_below(cfg.num_classes))});
+          {static_cast<std::uint32_t>(data_rng.next_below(kClasses))});
     }
     const auto y = yb.build();
-    const auto sa = nn::sgd_step(serial_model, x, y, 0.1f, ws_serial, 0.01f);
+    const auto sa = serial_model->train_step(x, y, 0.1f, *ws_serial, 0.01f);
     const auto sb =
-        nn::sgd_step(threaded_model, x, y, 0.1f, ws_threaded, 0.01f);
+        threaded_model->train_step(x, y, 0.1f, *ws_threaded, 0.01f);
     EXPECT_EQ(sa.loss, sb.loss);
   }
-  EXPECT_EQ(serial_model.to_flat(), threaded_model.to_flat());
+  EXPECT_EQ(serial_model->to_flat(), threaded_model->to_flat());
 }
 
 TEST(ParallelKernels, BitmapKeysMatchSortUnique) {

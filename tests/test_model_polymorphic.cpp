@@ -1,11 +1,13 @@
 // The model-polymorphic training stack, end to end: DeepMlp gradients
 // against central finite differences, and the deep model through the real
 // multi-GPU adaptive schedule — threaded bit-identical to inline, delta
-// merge bit-identical to the dense oracle, and a one-hidden-layer DeepMlp
-// bit-identical to MlpModel through the whole runtime.
+// merge bit-identical to the dense oracle, and the one-hidden-layer model
+// pinned through the whole runtime to fingerprints of the former dedicated
+// one-hidden-layer class.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -13,12 +15,24 @@
 #include "core/runtime.h"
 #include "data/synthetic.h"
 #include "nn/deep_mlp.h"
-#include "nn/mlp.h"
 #include "nn/model.h"
 #include "util/rng.h"
 
 namespace hetero {
 namespace {
+
+std::uint64_t fnv1a(const std::vector<float>& v) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const float f : v) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &f, sizeof(bits));
+    for (int i = 0; i < 4; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
 
 sparse::CsrMatrix batch_x(std::size_t rows, std::size_t cols,
                           util::Rng& rng) {
@@ -110,12 +124,10 @@ class DeepRuntimeTest : public ::testing::Test {
   DeepRuntimeTest()
       : dataset_(data::generate_xml_dataset(data::tiny_profile())) {}
 
-  core::TrainerConfig config(nn::ModelKind kind,
-                             std::vector<std::size_t> hidden,
+  core::TrainerConfig config(std::vector<std::size_t> hidden,
                              bool sparse_merge, std::size_t kernel_threads,
                              bool threaded) const {
     core::TrainerConfig cfg;
-    cfg.model_kind = kind;
     cfg.hidden = hidden.front();
     cfg.hidden_layers = std::move(hidden);
     cfg.batch_max = 32;
@@ -163,10 +175,10 @@ class DeepRuntimeTest : public ::testing::Test {
 
 TEST_F(DeepRuntimeTest, ThreadedBitIdenticalToInline) {
   core::MultiGpuRuntime inline_rt(
-      dataset_, config(nn::ModelKind::kDeep, {12, 8}, true, 1, false),
+      dataset_, config({12, 8}, true, 1, false),
       sim::v100_heterogeneous(4));
   core::MultiGpuRuntime threaded_rt(
-      dataset_, config(nn::ModelKind::kDeep, {12, 8}, true, 4, true),
+      dataset_, config({12, 8}, true, 4, true),
       sim::v100_heterogeneous(4));
   const auto inline_globals = run_schedule(inline_rt);
   const auto threaded_globals = run_schedule(threaded_rt);
@@ -178,10 +190,10 @@ TEST_F(DeepRuntimeTest, ThreadedBitIdenticalToInline) {
 
 TEST_F(DeepRuntimeTest, DeltaMergeBitIdenticalToDenseOracle) {
   core::MultiGpuRuntime dense(
-      dataset_, config(nn::ModelKind::kDeep, {12, 8}, false, 1, false),
+      dataset_, config({12, 8}, false, 1, false),
       sim::v100_heterogeneous(4));
   core::MultiGpuRuntime delta(
-      dataset_, config(nn::ModelKind::kDeep, {12, 8}, true, 1, false),
+      dataset_, config({12, 8}, true, 1, false),
       sim::v100_heterogeneous(4));
   std::vector<core::MultiGpuRuntime::MergeTiming> dense_t, delta_t;
   const auto dense_globals = run_schedule(dense, &dense_t);
@@ -199,25 +211,25 @@ TEST_F(DeepRuntimeTest, DeltaMergeBitIdenticalToDenseOracle) {
 }
 
 TEST_F(DeepRuntimeTest, OneHiddenDeepMatchesMlpThroughRuntime) {
-  // Same seed, same schedule: a one-hidden-layer DeepMlp must reproduce the
-  // MlpModel runtime bit-for-bit (init consumes the rng identically and the
-  // kernel sequences are the same).
-  core::MultiGpuRuntime mlp_rt(
-      dataset_, config(nn::ModelKind::kMlp, {16}, true, 2, true),
-      sim::v100_heterogeneous(4));
-  core::MultiGpuRuntime deep_rt(
-      dataset_, config(nn::ModelKind::kDeep, {16}, true, 2, true),
-      sim::v100_heterogeneous(4));
-  const auto mlp_globals = run_schedule(mlp_rt);
-  const auto deep_globals = run_schedule(deep_rt);
-  ASSERT_EQ(mlp_globals.size(), deep_globals.size());
-  for (std::size_t m = 0; m < mlp_globals.size(); ++m) {
-    ASSERT_EQ(deep_globals[m], mlp_globals[m]) << "merge " << m;
+  // The paper's 3-layer model through the threaded runtime with the delta
+  // merge. The global model's FNV-1a after each merge was captured from
+  // the former dedicated one-hidden-layer class (MlpModel) under the same
+  // seed and schedule; the model that replaced it must reproduce the bits.
+  core::MultiGpuRuntime rt(dataset_, config({16}, true, 2, true),
+                           sim::v100_heterogeneous(4));
+  const auto globals = run_schedule(rt);
+  const std::uint64_t expected[] = {0x14c6e98bf4593138ull,
+                                    0x05fc4c5297b0cc41ull,
+                                    0xa765dd8642279044ull};
+  ASSERT_EQ(globals.size(), std::size(expected));
+  for (std::size_t m = 0; m < globals.size(); ++m) {
+    ASSERT_EQ(globals[m].size(), 9296u);
+    EXPECT_EQ(fnv1a(globals[m]), expected[m]) << "merge " << m;
   }
 }
 
 TEST_F(DeepRuntimeTest, AdaptiveTrainerRunsDeepEndToEnd) {
-  auto cfg = config(nn::ModelKind::kDeep, {24, 12}, true, 2, true);
+  auto cfg = config({24, 12}, true, 2, true);
   cfg.num_megabatches = 2;
   core::AdaptiveSgdTrainer trainer(dataset_, cfg,
                                    sim::v100_heterogeneous(4, 0.32));

@@ -1,4 +1,6 @@
-#include "nn/mlp.h"
+// The one-hidden-layer sparse MLP (the paper's 3-layer model): parameters,
+// training steps and evaluation.
+#include "nn/deep_mlp.h"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +8,6 @@
 #include <cmath>
 
 #include "nn/evaluate.h"
-#include "nn/train_step.h"
 #include "sparse/csr.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -14,10 +15,12 @@
 namespace hetero::nn {
 namespace {
 
-MlpConfig small_config() {
-  MlpConfig cfg;
+constexpr std::size_t kHidden = 5;
+
+DeepMlpConfig small_config() {
+  DeepMlpConfig cfg;
   cfg.num_features = 12;
-  cfg.hidden = 5;
+  cfg.hidden = {kHidden};
   cfg.num_classes = 7;
   return cfg;
 }
@@ -55,35 +58,35 @@ sparse::CsrMatrix make_batch_y(std::size_t rows, std::size_t classes,
   return b.build();
 }
 
-TEST(MlpModel, ParameterCount) {
+TEST(OneHiddenMlp, ParameterCount) {
   const auto cfg = small_config();
   EXPECT_EQ(cfg.num_parameters(), 12u * 5 + 5 + 5 * 7 + 7);
-  MlpModel m(cfg);
+  DeepMlp m(cfg);
   EXPECT_EQ(m.num_parameters(), cfg.num_parameters());
   EXPECT_EQ(m.num_bytes(), cfg.num_parameters() * sizeof(float));
 }
 
-TEST(MlpModel, FlatRoundTrip) {
+TEST(OneHiddenMlp, FlatRoundTrip) {
   util::Rng rng(1);
-  MlpModel a(small_config());
+  DeepMlp a(small_config());
   a.init(rng);
   const auto flat = a.to_flat();
   ASSERT_EQ(flat.size(), a.num_parameters());
-  MlpModel b(small_config());
+  DeepMlp b(small_config());
   b.from_flat(flat);
   EXPECT_DOUBLE_EQ(a.squared_distance(b), 0.0);
 }
 
-TEST(MlpModel, InitIsSeedDeterministic) {
+TEST(OneHiddenMlp, InitIsSeedDeterministic) {
   util::Rng r1(5), r2(5);
-  MlpModel a(small_config()), b(small_config());
+  DeepMlp a(small_config()), b(small_config());
   a.init(r1);
   b.init(r2);
   EXPECT_DOUBLE_EQ(a.squared_distance(b), 0.0);
 }
 
-TEST(MlpModel, L2NormPerParameter) {
-  MlpModel m(small_config());
+TEST(OneHiddenMlp, L2NormPerParameter) {
+  DeepMlp m(small_config());
   auto flat = m.to_flat();
   std::fill(flat.begin(), flat.end(), 2.0f);
   m.from_flat(flat);
@@ -93,12 +96,12 @@ TEST(MlpModel, L2NormPerParameter) {
   EXPECT_NEAR(m.l2_norm_per_parameter(), expected, 1e-9);
 }
 
-TEST(MlpModel, BiasesStartZero) {
+TEST(OneHiddenMlp, BiasesStartZero) {
   util::Rng rng(2);
-  MlpModel m(small_config());
+  DeepMlp m(small_config());
   m.init(rng);
-  for (float b : m.b1()) EXPECT_EQ(b, 0.0f);
-  for (float b : m.b2()) EXPECT_EQ(b, 0.0f);
+  for (float b : m.biases(0)) EXPECT_EQ(b, 0.0f);
+  for (float b : m.biases(1)) EXPECT_EQ(b, 0.0f);
 }
 
 // Finite-difference gradient check: the most important test in this file.
@@ -107,13 +110,13 @@ TEST(MlpModel, BiasesStartZero) {
 TEST(TrainStep, GradientsMatchFiniteDifferences) {
   const auto cfg = small_config();
   util::Rng rng(3);
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   model.init(rng);
   const auto x = make_batch_x(4, cfg.num_features, rng, 0.4);
   const auto y = make_batch_y(4, cfg.num_classes, rng);
 
-  Workspace ws;
-  compute_gradients(model, x, y, ws);
+  DeepWorkspace ws;
+  model.compute_gradients(x, y, ws);
 
   // Gather analytic gradients in flat order (W1, b1, W2, b2). The layer-1
   // gradient is stored over touched rows only; scatter it dense for the
@@ -123,23 +126,23 @@ TEST(TrainStep, GradientsMatchFiniteDifferences) {
   std::vector<float> analytic;
   analytic.insert(analytic.end(), grad_w1_dense.flat().begin(),
                   grad_w1_dense.flat().end());
-  analytic.insert(analytic.end(), ws.grad_b1.begin(), ws.grad_b1.end());
-  analytic.insert(analytic.end(), ws.grad_w2.flat().begin(),
-                  ws.grad_w2.flat().end());
-  analytic.insert(analytic.end(), ws.grad_b2.begin(), ws.grad_b2.end());
+  analytic.insert(analytic.end(), ws.grad_b[0].begin(), ws.grad_b[0].end());
+  analytic.insert(analytic.end(), ws.grad_w[0].flat().begin(),
+                  ws.grad_w[0].flat().end());
+  analytic.insert(analytic.end(), ws.grad_b[1].begin(), ws.grad_b[1].end());
 
   auto flat = model.to_flat();
   const double eps = 1e-3;
-  Workspace ws2;
+  DeepWorkspace ws2;
   // Check a deterministic sample of parameters across all four tensors.
   for (std::size_t i = 0; i < flat.size(); i += 7) {
     const float saved = flat[i];
     flat[i] = saved + static_cast<float>(eps);
     model.from_flat(flat);
-    const double lp = forward_loss(model, x, y, ws2);
+    const double lp = model.forward_loss(x, y, ws2);
     flat[i] = saved - static_cast<float>(eps);
     model.from_flat(flat);
-    const double lm = forward_loss(model, x, y, ws2);
+    const double lm = model.forward_loss(x, y, ws2);
     flat[i] = saved;
     const double numeric = (lp - lm) / (2 * eps);
     EXPECT_NEAR(numeric, analytic[i], 2e-2 * std::max(1.0, std::abs(numeric)))
@@ -151,14 +154,14 @@ TEST(TrainStep, GradientsMatchFiniteDifferences) {
 TEST(TrainStep, LossDecreasesOnRepeatedSteps) {
   const auto cfg = small_config();
   util::Rng rng(4);
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   model.init(rng);
   const auto x = make_batch_x(8, cfg.num_features, rng);
   const auto y = make_batch_y(8, cfg.num_classes, rng);
-  Workspace ws;
-  const double initial = forward_loss(model, x, y, ws);
-  for (int i = 0; i < 100; ++i) sgd_step(model, x, y, 0.2f, ws);
-  const double after = forward_loss(model, x, y, ws);
+  DeepWorkspace ws;
+  const double initial = model.forward_loss(x, y, ws);
+  for (int i = 0; i < 100; ++i) model.train_step(x, y, 0.2f, ws);
+  const double after = model.forward_loss(x, y, ws);
   // With 2 uniform labels per sample the loss floor is log(2) ~= 0.69, so
   // require meaningful progress toward it rather than halving.
   EXPECT_LT(after, initial * 0.75);
@@ -167,28 +170,28 @@ TEST(TrainStep, LossDecreasesOnRepeatedSteps) {
 TEST(TrainStep, SgdStepEqualsComputePlusApply) {
   const auto cfg = small_config();
   util::Rng rng(5);
-  MlpModel a(cfg), b(cfg);
+  DeepMlp a(cfg), b(cfg);
   a.init(rng);
   b.from_flat(a.to_flat());
   const auto x = make_batch_x(4, cfg.num_features, rng);
   const auto y = make_batch_y(4, cfg.num_classes, rng);
-  Workspace wa, wb;
-  sgd_step(a, x, y, 0.1f, wa);
-  compute_gradients(b, x, y, wb);
-  apply_gradients(b, wb, 0.1f);
+  DeepWorkspace wa, wb;
+  a.train_step(x, y, 0.1f, wa);
+  b.compute_gradients(x, y, wb);
+  b.apply_gradients(wb, 0.1f);
   EXPECT_NEAR(a.squared_distance(b), 0.0, 1e-12);
 }
 
 TEST(TrainStep, ComputeGradientsDoesNotTouchModel) {
   const auto cfg = small_config();
   util::Rng rng(6);
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   model.init(rng);
   const auto before = model.to_flat();
   const auto x = make_batch_x(4, cfg.num_features, rng);
   const auto y = make_batch_y(4, cfg.num_classes, rng);
-  Workspace ws;
-  compute_gradients(model, x, y, ws);
+  DeepWorkspace ws;
+  model.compute_gradients(x, y, ws);
   EXPECT_EQ(model.to_flat(), before);
 }
 
@@ -197,23 +200,23 @@ TEST(TrainStep, UntouchedW1RowsKeepValues) {
   // change (this is what makes sparse training cheap).
   const auto cfg = small_config();
   util::Rng rng(7);
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   model.init(rng);
   sparse::CsrBuilder bx(cfg.num_features);
   bx.add_row({{3, 1.0f}, {5, 0.5f}});
   const auto x = bx.build();
   const auto y = make_batch_y(1, cfg.num_classes, rng);
-  const auto before = model.w1();
-  Workspace ws;
-  sgd_step(model, x, y, 0.5f, ws);
+  const auto before = model.weights(0);
+  DeepWorkspace ws;
+  model.train_step(x, y, 0.5f, ws);
   bool touched_changed = false;
   for (std::size_t f = 0; f < cfg.num_features; ++f) {
-    for (std::size_t h = 0; h < cfg.hidden; ++h) {
+    for (std::size_t h = 0; h < kHidden; ++h) {
       if (f == 3 || f == 5) {
-        touched_changed |= (model.w1()(f, h) != before(f, h));
+        touched_changed |= (model.weights(0)(f, h) != before(f, h));
         continue;
       }
-      EXPECT_EQ(model.w1()(f, h), before(f, h)) << "row " << f;
+      EXPECT_EQ(model.weights(0)(f, h), before(f, h)) << "row " << f;
     }
   }
   // Some hidden units may be ReLU-dead, but not the whole rows.
@@ -223,12 +226,12 @@ TEST(TrainStep, UntouchedW1RowsKeepValues) {
 TEST(TrainStep, StatsReportBatchShape) {
   const auto cfg = small_config();
   util::Rng rng(8);
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   model.init(rng);
   const auto x = make_batch_x(6, cfg.num_features, rng);
   const auto y = make_batch_y(6, cfg.num_classes, rng);
-  Workspace ws;
-  const auto stats = sgd_step(model, x, y, 0.1f, ws);
+  DeepWorkspace ws;
+  const auto stats = model.train_step(x, y, 0.1f, ws);
   EXPECT_EQ(stats.batch_size, 6u);
   EXPECT_EQ(stats.batch_nnz, x.nnz());
   EXPECT_GT(stats.loss, 0.0);
@@ -238,7 +241,7 @@ TEST(TrainStep, KernelDescriptorsCoverPipeline) {
   const auto cfg = small_config();
   util::Rng rng(9);
   const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto kernels = step_kernels(cfg, x);
+  const auto kernels = DeepMlp(cfg).step_kernels(x);
   EXPECT_GE(kernels.size(), 10u);
   double total_flops = 0.0;
   int sparse_count = 0;
@@ -257,8 +260,9 @@ TEST(TrainStep, KernelFlopsScaleWithNnz) {
   sparse::CsrBuilder b1(cfg.num_features), b2(cfg.num_features);
   b1.add_row({{0, 1.0f}});
   b2.add_row({{0, 1.0f}, {1, 1.0f}, {2, 1.0f}, {3, 1.0f}});
-  const auto k1 = step_kernels(cfg, b1.build());
-  const auto k2 = step_kernels(cfg, b2.build());
+  const DeepMlp model(cfg);
+  const auto k1 = model.step_kernels(b1.build());
+  const auto k2 = model.step_kernels(b2.build());
   double f1 = 0, f2 = 0;
   for (const auto& k : k1)
     if (k.sparse) f1 += k.flops;
@@ -268,23 +272,23 @@ TEST(TrainStep, KernelFlopsScaleWithNnz) {
 }
 
 TEST(TrainStep, MemoryEstimateMonotoneInBatch) {
-  const auto cfg = small_config();
-  EXPECT_LT(step_memory_bytes(cfg, 16, 10.0), step_memory_bytes(cfg, 64, 10.0));
-  EXPECT_LT(step_memory_bytes(cfg, 16, 10.0), step_memory_bytes(cfg, 16, 40.0));
+  const DeepMlp model(small_config());
+  EXPECT_LT(model.step_memory_bytes(16, 10.0), model.step_memory_bytes(64, 10.0));
+  EXPECT_LT(model.step_memory_bytes(16, 10.0), model.step_memory_bytes(16, 40.0));
 }
 
 TEST(Evaluate, PerfectModelScoresFullAccuracy) {
   // Construct a model that maps feature f deterministically to class
   // f % classes, and a test set consistent with it.
-  MlpConfig cfg;
+  DeepMlpConfig cfg;
   cfg.num_features = 8;
-  cfg.hidden = 8;
+  cfg.hidden = {8};
   cfg.num_classes = 4;
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   // W1 = identity-ish: feature f activates hidden f.
-  for (std::size_t f = 0; f < 8; ++f) model.w1()(f, f) = 1.0f;
+  for (std::size_t f = 0; f < 8; ++f) model.weights(0)(f, f) = 1.0f;
   // W2: hidden h votes for class h % 4.
-  for (std::size_t h = 0; h < 8; ++h) model.w2()(h, h % 4) = 5.0f;
+  for (std::size_t h = 0; h < 8; ++h) model.weights(1)(h, h % 4) = 5.0f;
 
   sparse::CsrBuilder fx(8);
   sparse::CsrBuilder fy(4);
@@ -302,15 +306,15 @@ TEST(Evaluate, PerfectModelScoresFullAccuracy) {
 TEST(TrainStep, WeightDecayShrinksParameters) {
   const auto cfg = small_config();
   util::Rng rng(21);
-  MlpModel with_decay(cfg), without(cfg);
+  DeepMlp with_decay(cfg), without(cfg);
   with_decay.init(rng);
   without.from_flat(with_decay.to_flat());
   const auto x = make_batch_x(4, cfg.num_features, rng);
   const auto y = make_batch_y(4, cfg.num_classes, rng);
-  Workspace wa, wb;
+  DeepWorkspace wa, wb;
   for (int i = 0; i < 10; ++i) {
-    sgd_step(with_decay, x, y, 0.1f, wa, /*weight_decay=*/0.1f);
-    sgd_step(without, x, y, 0.1f, wb);
+    with_decay.train_step(x, y, 0.1f, wa, /*weight_decay=*/0.1f);
+    without.train_step(x, y, 0.1f, wb);
   }
   EXPECT_LT(with_decay.l2_norm_per_parameter(),
             without.l2_norm_per_parameter());
@@ -319,39 +323,39 @@ TEST(TrainStep, WeightDecayShrinksParameters) {
 TEST(TrainStep, ZeroWeightDecayIsNoOp) {
   const auto cfg = small_config();
   util::Rng rng(22);
-  MlpModel a(cfg), b(cfg);
+  DeepMlp a(cfg), b(cfg);
   a.init(rng);
   b.from_flat(a.to_flat());
   const auto x = make_batch_x(4, cfg.num_features, rng);
   const auto y = make_batch_y(4, cfg.num_classes, rng);
-  Workspace wa, wb;
-  sgd_step(a, x, y, 0.1f, wa, 0.0f);
-  sgd_step(b, x, y, 0.1f, wb);
+  DeepWorkspace wa, wb;
+  a.train_step(x, y, 0.1f, wa, 0.0f);
+  b.train_step(x, y, 0.1f, wb);
   EXPECT_DOUBLE_EQ(a.squared_distance(b), 0.0);
 }
 
 TEST(TrainStep, WeightDecayOnlyTouchedW1Rows) {
   const auto cfg = small_config();
   util::Rng rng(23);
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   model.init(rng);
   sparse::CsrBuilder bx(cfg.num_features);
   bx.add_row({{2, 1.0f}});
   const auto x = bx.build();
   const auto y = make_batch_y(1, cfg.num_classes, rng);
-  const auto before = model.w1();
-  Workspace ws;
-  sgd_step(model, x, y, 0.1f, ws, 0.5f);
+  const auto before = model.weights(0);
+  DeepWorkspace ws;
+  model.train_step(x, y, 0.1f, ws, 0.5f);
   // Untouched rows keep their exact values even with decay enabled.
-  for (std::size_t h = 0; h < cfg.hidden; ++h) {
-    EXPECT_EQ(model.w1()(7, h), before(7, h));
+  for (std::size_t h = 0; h < kHidden; ++h) {
+    EXPECT_EQ(model.weights(0)(7, h), before(7, h));
   }
 }
 
 TEST(Evaluate, PrecisionAtKConsistency) {
   const auto cfg = small_config();
   util::Rng rng(24);
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   model.init(rng);
   sparse::LabeledDataset test{make_batch_x(60, cfg.num_features, rng),
                               make_batch_y(60, cfg.num_classes, rng, 3)};
@@ -368,13 +372,13 @@ TEST(Evaluate, PrecisionAtKConsistency) {
 TEST(Evaluate, PerfectModelPrecisionAtK) {
   // One true label per sample, perfectly ranked: P@1 = 1, P@3 = 1/3,
   // P@5 = 1/5.
-  MlpConfig cfg;
+  DeepMlpConfig cfg;
   cfg.num_features = 4;
-  cfg.hidden = 4;
+  cfg.hidden = {4};
   cfg.num_classes = 8;
-  MlpModel model(cfg);
-  for (std::size_t f = 0; f < 4; ++f) model.w1()(f, f) = 1.0f;
-  for (std::size_t h = 0; h < 4; ++h) model.w2()(h, h) = 5.0f;
+  DeepMlp model(cfg);
+  for (std::size_t f = 0; f < 4; ++f) model.weights(0)(f, f) = 1.0f;
+  for (std::size_t h = 0; h < 4; ++h) model.weights(1)(h, h) = 5.0f;
   sparse::CsrBuilder fx(4);
   sparse::CsrBuilder fy(8);
   for (std::uint32_t f = 0; f < 4; ++f) {
@@ -391,7 +395,7 @@ TEST(Evaluate, PerfectModelPrecisionAtK) {
 TEST(Evaluate, Top5AtLeastTop1) {
   const auto cfg = small_config();
   util::Rng rng(10);
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   model.init(rng);
   sparse::LabeledDataset test{make_batch_x(50, cfg.num_features, rng),
                               make_batch_y(50, cfg.num_classes, rng)};
@@ -406,19 +410,19 @@ TEST(Evaluate, MatchesFullSortReference) {
   const auto cfg = small_config();
   for (std::uint64_t seed = 100; seed < 108; ++seed) {
     util::Rng rng(seed);
-    MlpModel model(cfg);
+    DeepMlp model(cfg);
     model.init(rng);
     sparse::LabeledDataset test{make_batch_x(40, cfg.num_features, rng),
                                 make_batch_y(40, cfg.num_classes, rng, 2)};
     const auto fast = evaluate(model, test);
 
     // Reference: full forward + full sort per row.
-    Workspace ws;
+    DeepWorkspace ws;
     std::size_t top1 = 0, top5 = 0, p3 = 0, p5 = 0;
     for (std::size_t r = 0; r < 40; ++r) {
       const auto x = test.features.slice_rows(r, r + 1);
       const auto y = test.labels.slice_rows(r, r + 1);
-      forward_loss(model, x, y, ws);
+      model.forward_loss(x, y, ws);
       std::vector<std::pair<float, std::size_t>> scored;
       for (std::size_t c = 0; c < cfg.num_classes; ++c) {
         scored.push_back({ws.probs(0, c), c});
@@ -449,12 +453,12 @@ TEST(Evaluate, MatchesFullSortReference) {
 }
 
 TEST(Evaluate, ThreadedWorkspaceMatchesSerialBits) {
-  MlpConfig cfg;
+  DeepMlpConfig cfg;
   cfg.num_features = 40;
-  cfg.hidden = 8;
+  cfg.hidden = {8};
   cfg.num_classes = 30;
   util::Rng rng(31);
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   model.init(rng);
   // 90 rows in batches of 32: the last batch (26 rows) splits unevenly.
   sparse::LabeledDataset test{make_batch_x(90, cfg.num_features, rng),
@@ -480,7 +484,7 @@ TEST(Evaluate, ThreadedWorkspaceMatchesSerialBits) {
 TEST(Evaluate, MaxSamplesLimits) {
   const auto cfg = small_config();
   util::Rng rng(11);
-  MlpModel model(cfg);
+  DeepMlp model(cfg);
   model.init(rng);
   sparse::LabeledDataset test{make_batch_x(50, cfg.num_features, rng),
                               make_batch_y(50, cfg.num_classes, rng)};

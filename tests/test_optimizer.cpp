@@ -29,7 +29,7 @@ constexpr std::size_t kClasses = 9;
 
 std::unique_ptr<Model> small_model(util::Rng& rng) {
   const std::size_t hidden[] = {kHidden};
-  auto m = make_model(ModelKind::kMlp, kFeatures, hidden, kClasses);
+  auto m = make_model(kFeatures, hidden, kClasses);
   m->init(rng);
   return m;
 }

@@ -17,12 +17,13 @@
 namespace hetero {
 namespace {
 
-nn::MlpModel make_model() {
-  nn::MlpConfig cfg;
+// The paper's 3-layer model: one hidden layer, written as v1.
+nn::DeepMlp make_model() {
+  nn::DeepMlpConfig cfg;
   cfg.num_features = 20;
-  cfg.hidden = 6;
+  cfg.hidden = {6};
   cfg.num_classes = 9;
-  nn::MlpModel model(cfg);
+  nn::DeepMlp model(cfg);
   util::Rng rng(5);
   model.init(rng);
   return model;
@@ -32,25 +33,25 @@ TEST(Serialize, RoundTripPreservesModel) {
   const auto model = make_model();
   std::stringstream buffer;
   nn::save_model(buffer, model);
-  const auto loaded = nn::load_model(buffer);
-  EXPECT_EQ(loaded.config().num_features, 20u);
-  EXPECT_EQ(loaded.config().hidden, 6u);
-  EXPECT_EQ(loaded.config().num_classes, 9u);
-  EXPECT_DOUBLE_EQ(loaded.squared_distance(model), 0.0);
+  const auto loaded = nn::load_any_model(buffer);
+  EXPECT_EQ(loaded->info().num_features, 20u);
+  EXPECT_EQ(loaded->info().hidden, (std::vector<std::size_t>{6}));
+  EXPECT_EQ(loaded->info().num_classes, 9u);
+  EXPECT_DOUBLE_EQ(loaded->squared_distance(model), 0.0);
 }
 
 TEST(Serialize, FileRoundTrip) {
   const auto model = make_model();
   const std::string path = ::testing::TempDir() + "/model.hgpu";
   nn::save_model_file(path, model);
-  const auto loaded = nn::load_model_file(path);
-  EXPECT_DOUBLE_EQ(loaded.squared_distance(model), 0.0);
+  const auto loaded = nn::load_any_model_file(path);
+  EXPECT_DOUBLE_EQ(loaded->squared_distance(model), 0.0);
   std::remove(path.c_str());
 }
 
 TEST(Serialize, BadMagicRejected) {
   std::stringstream buffer("NOPE rest of garbage");
-  EXPECT_THROW(nn::load_model(buffer), std::runtime_error);
+  EXPECT_THROW(nn::load_any_model(buffer), std::runtime_error);
 }
 
 TEST(Serialize, TruncatedParametersRejected) {
@@ -60,21 +61,22 @@ TEST(Serialize, TruncatedParametersRejected) {
   std::string data = buffer.str();
   data.resize(data.size() / 2);
   std::stringstream truncated(data);
-  EXPECT_THROW(nn::load_model(truncated), std::runtime_error);
+  EXPECT_THROW(nn::load_any_model(truncated), std::runtime_error);
 }
 
 TEST(Serialize, MissingFileThrows) {
-  EXPECT_THROW(nn::load_model_file("/nonexistent/m.hgpu"),
+  EXPECT_THROW(nn::load_any_model_file("/nonexistent/m.hgpu"),
                std::runtime_error);
   EXPECT_THROW(nn::save_model_file("/nonexistent/dir/m.hgpu", make_model()),
                std::runtime_error);
 }
 
 TEST(Serialize, V1BytesArePinned) {
-  // An MlpModel must serialize to the exact legacy v1 byte layout:
-  // "HGPU" | u32 1 | u64 F | u64 H | u64 C | float params. Checkpoints
-  // written before the layer-list format existed must stay readable, and
-  // new MlpModel checkpoints must stay readable by old builds.
+  // A one-hidden-layer model must serialize to the exact legacy v1 byte
+  // layout: "HGPU" | u32 1 | u64 F | u64 H | u64 C | float params.
+  // Checkpoints written before the layer-list format existed must stay
+  // readable, and new one-hidden-layer checkpoints must stay readable by
+  // old builds.
   const auto model = make_model();
   std::stringstream buffer;
   nn::save_model(buffer, model);
@@ -124,37 +126,41 @@ TEST(Serialize, LoadAnyModelReadsV1AsMlp) {
   std::stringstream buffer;
   nn::save_model(buffer, model);
   const auto loaded = nn::load_any_model(buffer);
-  ASSERT_NE(dynamic_cast<const nn::MlpModel*>(loaded.get()), nullptr);
-  EXPECT_DOUBLE_EQ(loaded->squared_distance(model), 0.0);
+  EXPECT_EQ(loaded->info().num_features, 20u);
+  EXPECT_EQ(loaded->info().hidden, (std::vector<std::size_t>{6}));
+  EXPECT_EQ(loaded->info().num_classes, 9u);
+  EXPECT_EQ(loaded->to_flat(), model.to_flat());
 }
 
-TEST(Serialize, LegacyLoaderAcceptsSingleHiddenV2) {
-  nn::DeepMlpConfig cfg;
-  cfg.num_features = 20;
-  cfg.hidden = {6};
-  cfg.num_classes = 9;
-  nn::DeepMlp model(cfg);
-  util::Rng rng(7);
-  model.init(rng);
+TEST(Serialize, OneHiddenLayerV2StillLoads) {
+  // `--model deep --hidden 64` wrote one-hidden-layer models as v2 before
+  // the shape picked the format; save_model now writes v1 for them, so the
+  // v2 bytes are built by hand: "HGPU" | u32 2 | u64 1 | u64 F | u64 H |
+  // u64 C | float params.
+  const auto model = make_model();
+  std::string bytes = "HGPU";
+  const auto append_pod = [&bytes](const auto& value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append_pod(std::uint32_t{2});
+  append_pod(std::uint64_t{1});
+  append_pod(std::uint64_t{20});
+  append_pod(std::uint64_t{6});
+  append_pod(std::uint64_t{9});
+  for (const float p : model.to_flat()) append_pod(p);
 
-  std::stringstream buffer;
-  nn::save_model(buffer, model);
-  const auto loaded = nn::load_model(buffer);
-  EXPECT_EQ(loaded.to_flat(), model.to_flat());
-}
+  std::stringstream buffer(bytes);
+  const auto loaded = nn::load_any_model(buffer);
+  EXPECT_EQ(loaded->info().num_features, 20u);
+  EXPECT_EQ(loaded->info().hidden, (std::vector<std::size_t>{6}));
+  EXPECT_EQ(loaded->info().num_classes, 9u);
+  EXPECT_EQ(loaded->to_flat(), model.to_flat());
 
-TEST(Serialize, LegacyLoaderRejectsMultiLayerV2) {
-  nn::DeepMlpConfig cfg;
-  cfg.num_features = 20;
-  cfg.hidden = {10, 7};
-  cfg.num_classes = 9;
-  nn::DeepMlp model(cfg);
-  util::Rng rng(8);
-  model.init(rng);
-
-  std::stringstream buffer;
-  nn::save_model(buffer, model);
-  EXPECT_THROW(nn::load_model(buffer), std::runtime_error);
+  // Written back, it takes the v1 bytes of the same model.
+  std::stringstream v1, resaved;
+  nn::save_model(v1, model);
+  nn::save_model(resaved, *loaded);
+  EXPECT_EQ(resaved.str(), v1.str());
 }
 
 TEST(Serialize, V2FileRoundTrip) {
