@@ -20,13 +20,12 @@ namespace {
 void run_profile(const char* name, std::vector<sim::DeviceSpec> specs,
                  const data::XmlDataset& dataset,
                  const core::TrainerConfig& cfg) {
-  const std::size_t hidden[] = {cfg.hidden};
-  const auto model = nn::make_model(dataset.train.features.cols(), hidden,
-                                    dataset.train.labels.cols());
+  const nn::Model model(dataset.train.features.cols(), {cfg.hidden},
+                       dataset.train.labels.cols());
 
   // One identical batch for every GPU and every trial.
   const auto batch = dataset.train.features.slice_rows(0, cfg.batch_max);
-  auto kernels = model->step_kernels(batch);
+  auto kernels = model.step_kernels(batch);
   for (auto& k : kernels) {
     k.flops *= cfg.compute_scale;
     k.bytes *= cfg.compute_scale;

@@ -21,7 +21,7 @@
 #include "bench_common.h"
 #include "comm/allreduce.h"
 #include "core/merging.h"
-#include "nn/deep_mlp.h"
+#include "nn/model.h"
 #include "sim/profiles.h"
 #include "slide/simhash.h"
 #include "sparse/ops.h"
@@ -221,9 +221,9 @@ void BM_ForkJoin(benchmark::State& state) {
 BENCHMARK(BM_ForkJoin)->UseRealTime();
 
 // The paper's 3-layer model (one hidden layer), initialized from seed 7.
-nn::DeepMlp make_mlp(std::size_t features, std::size_t hidden,
-                     std::size_t classes) {
-  nn::DeepMlp model({features, {hidden}, classes});
+nn::Model make_mlp(std::size_t features, std::size_t hidden,
+                   std::size_t classes) {
+  nn::Model model(features, {hidden}, classes);
   util::Rng rng(7);
   model.init(rng);
   return model;
@@ -234,9 +234,9 @@ void BM_FullSgdStep(benchmark::State& state) {
   auto model = make_mlp(8192, 64, classes);
   const auto x = make_sparse_batch(128, 8192, 76, 8);
   const auto y = make_labels(128, classes, 7);
-  const auto ws = model.make_workspace();
+  nn::ModelWorkspace ws;
   for (auto _ : state) {
-    model.train_step(x, y, 0.01f, *ws);
+    model.train_step(x, y, 0.01f, ws);
   }
   state.SetItemsProcessed(state.iterations() * 128);
 }
@@ -254,11 +254,11 @@ void BM_SgdStepXml(benchmark::State& state) {
   auto model = make_mlp(kXmlFeatures, 64, kXmlClasses);
   const auto x = make_sparse_batch(kXmlBatch, kXmlFeatures, kXmlNnzPerRow, 8);
   const auto y = make_labels(kXmlBatch, kXmlClasses, 9);
-  const auto ws = model.make_workspace();
+  nn::ModelWorkspace ws;
   util::ThreadPool pool(threads);
-  if (threads > 1) ws->ctx = kernels::Context{&pool, threads};
+  if (threads > 1) ws.ctx = kernels::Context{&pool, threads};
   for (auto _ : state) {
-    model.train_step(x, y, 0.01f, *ws);
+    model.train_step(x, y, 0.01f, ws);
   }
   state.SetItemsProcessed(state.iterations() * kXmlBatch);
 }
@@ -336,12 +336,12 @@ void BM_SmokeSgdStep(benchmark::State& state) {
   auto model = make_mlp(256, 16, 32);
   const auto x = make_sparse_batch(16, 256, 8, 8);
   const auto y = make_labels(16, 32, 9);
-  const auto ws = model.make_workspace();
+  nn::ModelWorkspace ws;
   util::ThreadPool pool(2);
-  ws->ctx = kernels::Context{&pool, 2};
-  ws->ctx.serial_grain = 0;  // force the threaded path even at this size
+  ws.ctx = kernels::Context{&pool, 2};
+  ws.ctx.serial_grain = 0;  // force the threaded path even at this size
   for (auto _ : state) {
-    model.train_step(x, y, 0.01f, *ws);
+    model.train_step(x, y, 0.01f, ws);
   }
   state.SetItemsProcessed(state.iterations() * 16);
 }

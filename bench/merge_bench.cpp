@@ -37,7 +37,7 @@
 #include "core/adaptive_sgd.h"
 #include "core/merging.h"
 #include "data/synthetic.h"
-#include "nn/deep_mlp.h"
+#include "nn/model.h"
 #include "sim/profiles.h"
 #include "sparse/sparse_gradient.h"
 #include "tensor/vec/vec.h"
@@ -68,9 +68,9 @@ void fill_pattern(std::span<float> v, std::uint32_t seed) {
 // Global, momentum and replica models over one hidden list; {kHidden} is
 // the paper's 3-layer model.
 struct MergeSetup {
-  nn::DeepMlp global;
-  nn::DeepMlp prev;
-  std::vector<nn::DeepMlp> replicas;
+  nn::Model global;
+  nn::Model prev;
+  std::vector<nn::Model> replicas;
   std::vector<double> weights;
   // Per-replica touched W1 rows (delta paths only).
   std::vector<sparse::RowSet> touched;
@@ -78,7 +78,7 @@ struct MergeSetup {
   MergeSetup(std::size_t features, std::vector<std::size_t> hidden,
              std::size_t classes, std::size_t num_replicas,
              std::size_t touched_permille)
-      : global({features, std::move(hidden), classes}), prev(global) {
+      : global(features, std::move(hidden), classes), prev(global) {
     for (auto seg : global.segment_views()) fill_pattern(seg, 1);
     prev.copy_from(global);
     for (std::size_t i = 0; i < num_replicas; ++i) {

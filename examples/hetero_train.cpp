@@ -73,7 +73,7 @@ int run(int argc, char** argv) {
   // HETERO_ISA if set, else the best ISA cpuid reports).
   vec::set_isa_from_string(args.get_string("isa", ""));
   const auto method_name = args.get_string("method", "adaptive");
-  const auto gpus = static_cast<std::size_t>(args.get_int("gpus", 4));
+  const auto gpus_arg = args.get_int("gpus", 4);
   const auto gap = args.get_double("gap", 0.32);
   // Multi-node topology: --nodes N servers of --node-gpus GPUs each
   // (default: --gpus split evenly), plus --cpu-replica slow CPU compute
@@ -151,7 +151,7 @@ int run(int argc, char** argv) {
   const auto resume_from = args.get_string("resume-from", "");
   if (args.report_unknown()) return 1;
 
-  // Both names build the same nn::DeepMlp; mlp only insists on the paper's
+  // Both names build the same nn::Model; mlp only insists on the paper's
   // single hidden layer.
   if (model_name != "mlp" && model_name != "deep") {
     std::fprintf(stderr, "unknown --model %s (expected mlp or deep)\n",
@@ -163,6 +163,29 @@ int run(int argc, char** argv) {
                  "--model mlp takes exactly one hidden width; "
                  "use --model deep for a layer list\n");
     return 1;
+  }
+  if (gpus_arg < 1) {
+    std::fprintf(stderr, "--gpus must be at least 1\n");
+    return 1;
+  }
+  const auto gpus = static_cast<std::size_t>(gpus_arg);
+  // Optional custom server topology: --speeds 1.0,0.9,0.76 overrides
+  // --gpus/--gap with explicit per-device speed factors.
+  std::vector<double> speeds;
+  if (!speeds_str.empty()) {
+    for (std::size_t pos = 0;;) {
+      const auto comma = speeds_str.find(',', pos);
+      const double speed = util::parse_f64_strict(
+          speeds_str.substr(pos, comma - pos), "cli: flag --speeds");
+      if (speed <= 0.0) {
+        std::fprintf(stderr, "--speeds: every speed must be > 0 (got %g)\n",
+                     speed);
+        return 1;
+      }
+      speeds.push_back(speed);
+      if (comma == std::string::npos) break;
+      pos = comma + 1;
+    }
   }
 
   auto data_cfg = dataset_name == "delicious" ? data::delicious200k_small()
@@ -224,17 +247,6 @@ int run(int argc, char** argv) {
   }
   cfg.allreduce_streams = allreduce_streams;
   if (threaded) cfg.mode = core::ExecutionMode::kThreaded;
-
-  // Optional custom server topology: --speeds 1.0,0.9,0.76 overrides
-  // --gpus/--gap with explicit per-device speed factors.
-  std::vector<double> speeds;
-  for (std::size_t pos = 0; pos < speeds_str.size();) {
-    auto comma = speeds_str.find(',', pos);
-    if (comma == std::string::npos) comma = speeds_str.size();
-    speeds.push_back(std::strtod(speeds_str.substr(pos, comma - pos).c_str(),
-                                 nullptr));
-    pos = comma + 1;
-  }
 
   core::TrainResult result;
   sim::Tracer tracer;

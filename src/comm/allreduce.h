@@ -79,7 +79,7 @@ struct WirePayload {
 
 /// One replica's parameters as an ordered list of in-place tensor views
 /// (e.g. the W1/b1/W2/b2 segments of a one-hidden-layer
-/// nn::DeepMlp::segment_views()).
+/// nn::Model::segment_views()).
 /// Segment k must have the same length on every replica; concatenating the
 /// segments defines the flat reduction index space.
 using SegmentedView = std::vector<std::span<float>>;

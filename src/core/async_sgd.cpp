@@ -10,9 +10,7 @@ AsyncSgdTrainer::AsyncSgdTrainer(const data::XmlDataset& dataset,
                                  std::vector<sim::DeviceSpec> devices)
     : Trainer(dataset, cfg, std::move(devices)) {
   in_flight_.resize(runtime_.num_gpus());
-  for (std::size_t g = 0; g < runtime_.num_gpus(); ++g) {
-    gradients_.push_back(runtime_.global_model().make_workspace());
-  }
+  gradients_.resize(runtime_.num_gpus());
 }
 
 void AsyncSgdTrainer::dispatch(std::size_t g) {
@@ -24,7 +22,7 @@ void AsyncSgdTrainer::dispatch(std::size_t g) {
   // it right away (the math is instantaneous in virtual time; only the
   // charged kernel cost advances the clock).
   const auto stats = runtime_.global_model().compute_gradients(
-      slot.batch.x, slot.batch.y, *gradients_[g]);
+      slot.batch.x, slot.batch.y, gradients_[g]);
   runtime_.record_loss(g, stats.loss);
   slot.finish =
       runtime_.charge_step(g, slot.batch.x, runtime_.gpu_free_at(g));
@@ -54,7 +52,7 @@ void AsyncSgdTrainer::run_megabatch(TrainResult& result) {
     auto& slot = in_flight_[g];
     // Apply the (possibly stale) gradient to the shared model.
     runtime_.global_optimizer().apply(
-        runtime_.global_model(), *gradients_[g],
+        runtime_.global_model(), gradients_[g],
         static_cast<float>(cfg_.learning_rate * lr_schedule_factor()),
         static_cast<float>(cfg_.weight_decay));
     staleness_sum_ += global_version_ - slot.snapshot_version;

@@ -12,8 +12,6 @@
 // boundaries.
 #pragma once
 
-#include <memory>
-
 #include "core/trainer.h"
 
 namespace hetero::core {
@@ -39,8 +37,8 @@ class AsyncSgdTrainer final : public Trainer {
   void dispatch(std::size_t g);
 
   std::vector<InFlight> in_flight_;
-  // One pending gradient per GPU, staged in model-created workspaces.
-  std::vector<std::unique_ptr<nn::ModelWorkspace>> gradients_;
+  // One pending gradient per GPU, staged in its own workspace.
+  std::vector<nn::ModelWorkspace> gradients_;
   std::size_t global_version_ = 0;        // total updates applied
   std::size_t staleness_sum_ = 0;
   std::size_t staleness_count_ = 0;

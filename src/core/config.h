@@ -30,7 +30,7 @@ enum class ExecutionMode {
 
 struct TrainerConfig {
   // --- model -----------------------------------------------------------
-  /// Hidden width of the paper's 3-layer model (nn::make_model), used when
+  /// Hidden width of the paper's 3-layer model (nn::Model), used when
   /// `hidden_layers` is empty.
   std::size_t hidden = 64;
   /// Hidden widths, one per hidden layer (one or more). Empty = {hidden}.
@@ -172,9 +172,8 @@ struct TrainerConfig {
   /// of each replica's training step. 1 = serial (default, and what the
   /// deterministic tests use); 0 = hardware concurrency. The runtime shares
   /// one pool across all virtual GPUs and hands each workspace a
-  /// kernels::Context; per-GPU counts can be adjusted afterwards with
-  /// MultiGpuRuntime::set_kernel_threads. Results are bit-identical across
-  /// thread counts (kernels partition output rows).
+  /// kernels::Context. Results are bit-identical across thread counts
+  /// (kernels partition output rows).
   std::size_t kernel_threads = 1;
 
   /// Multiplier on epoch compute time modelling a heavier framework stack.

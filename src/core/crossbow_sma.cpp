@@ -8,10 +8,9 @@ namespace hetero::core {
 CrossbowTrainer::CrossbowTrainer(const data::XmlDataset& dataset,
                                  const TrainerConfig& cfg,
                                  std::vector<sim::DeviceSpec> devices)
-    : Trainer(dataset, cfg, std::move(devices)) {
-  central_ = runtime_.global_model().clone();
-  dev_sum_.resize(central_->num_parameters(), 0.0);
-}
+    : Trainer(dataset, cfg, std::move(devices)),
+      central_(runtime_.global_model()),
+      dev_sum_(central_.num_parameters(), 0.0) {}
 
 void CrossbowTrainer::run_megabatch(TrainResult& result) {
   const std::size_t n = runtime_.num_gpus();
@@ -54,7 +53,7 @@ void CrossbowTrainer::run_megabatch(TrainResult& result) {
     // tensors (deviations are measured before the learners move). The only
     // O(params) state is the reusable double accumulator — no flat model
     // copies in or out.
-    const auto central_segs = central_->segment_views();
+    const auto central_segs = central_.segment_views();
     std::fill(dev_sum_.begin(), dev_sum_.end(), 0.0);
     for (std::size_t g = 0; g < n; ++g) {
       auto& replica = runtime_.replica(g);
@@ -86,7 +85,7 @@ void CrossbowTrainer::run_megabatch(TrainResult& result) {
   }
 
   // The central average model is the model whose accuracy is reported.
-  runtime_.global_model().copy_from(*central_);
+  runtime_.global_model().copy_from(central_);
   result.merges += 1;
   for (std::size_t g = 0; g < n; ++g) {
     result.gpus[g].batch_size.push_back(b);

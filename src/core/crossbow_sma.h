@@ -15,7 +15,6 @@
 // Amazon-670k, instability on Delicious-200k).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "core/trainer.h"
@@ -36,7 +35,7 @@ class CrossbowTrainer final : public Trainer {
   // Central average model z, kept as a model so the SMA update runs
   // segment-wise in place against the replicas' segment_views() — no
   // to_flat()/from_flat() staging copies per round.
-  std::unique_ptr<nn::Model> central_;
+  nn::Model central_;
   std::vector<double> dev_sum_;  // per-parameter deviation accumulator
 };
 

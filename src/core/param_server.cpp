@@ -12,9 +12,7 @@ ParamServerTrainer::ParamServerTrainer(const data::XmlDataset& dataset,
     : Trainer(dataset, cfg, std::move(devices)),
       staleness_bound_(staleness_bound) {
   in_flight_.resize(runtime_.num_gpus());
-  for (std::size_t g = 0; g < runtime_.num_gpus(); ++g) {
-    gradients_.push_back(runtime_.global_model().make_workspace());
-  }
+  gradients_.resize(runtime_.num_gpus());
   local_clock_.resize(runtime_.num_gpus(), 0);
 }
 
@@ -39,7 +37,7 @@ void ParamServerTrainer::dispatch(std::size_t g, double earliest) {
 
   comm_accum_ += pull + push;
   const auto stats = runtime_.global_model().compute_gradients(
-      slot.batch.x, slot.batch.y, *gradients_[g]);
+      slot.batch.x, slot.batch.y, gradients_[g]);
   runtime_.record_loss(g, stats.loss);
 
   const double compute_done = runtime_.charge_step(
@@ -80,7 +78,7 @@ void ParamServerTrainer::run_megabatch(TrainResult& result) {
     }
 
     auto& slot = in_flight_[g];
-    runtime_.global_optimizer().apply(runtime_.global_model(), *gradients_[g],
+    runtime_.global_optimizer().apply(runtime_.global_model(), gradients_[g],
                                       lr,
                                       static_cast<float>(cfg_.weight_decay));
     staleness_sum_ += global_version_ - slot.snapshot_version;

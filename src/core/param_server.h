@@ -53,7 +53,7 @@ class ParamServerTrainer final : public Trainer {
 
   std::size_t staleness_bound_;
   std::vector<InFlight> in_flight_;
-  std::vector<std::unique_ptr<nn::ModelWorkspace>> gradients_;
+  std::vector<nn::ModelWorkspace> gradients_;
   std::vector<std::size_t> local_clock_;   // updates completed per GPU
   std::size_t global_version_ = 0;         // total updates applied
   std::size_t ssp_stalls_ = 0;             // times a fast GPU had to wait

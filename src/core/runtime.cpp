@@ -36,17 +36,16 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
     : dataset_(dataset),
       cfg_(cfg),
       links_(build_links(cfg, devices.size())),
+      global_(dataset.train.features.cols(), cfg.derived_hidden_layers(),
+              dataset.train.labels.cols()),
       stream_(dataset.train.num_samples(), cfg.seed ^ 0xa5a5a5a5ULL) {
   assert(!devices.empty());
-  const std::size_t num_features = dataset.train.features.cols();
-  const std::size_t num_classes = dataset.train.labels.cols();
-  const auto hidden_layers = cfg.derived_hidden_layers();
+  const std::size_t num_features = global_.info().num_features;
 
   util::Rng init_rng(cfg.seed);
-  global_ = nn::make_model(num_features, hidden_layers, num_classes);
-  global_->init(init_rng);
-  prev_global_ = global_->clone();
-  global_optimizer_ = nn::Optimizer::make(cfg_.optimizer, *global_);
+  global_.init(init_rng);
+  prev_global_ = global_;
+  global_optimizer_ = nn::Optimizer::make(cfg_.optimizer, global_);
 
   const std::size_t n = devices.size();
   const std::size_t streams =
@@ -64,12 +63,12 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
     // model-sized state matrix per optimizer slot (adam/adamw: 2, adagrad:
     // 1, sgd: 0) stay resident for the whole run.
     gpus_.back()->allocate(
-        (2 + global_optimizer_->num_slots()) * global_->num_bytes());
-    replicas_.push_back(global_->clone());
+        (2 + global_optimizer_->num_slots()) * global_.num_bytes());
   }
+  replicas_.assign(n, global_);
+  workspaces_.resize(n);
   for (std::size_t g = 0; g < n; ++g) {
-    workspaces_.push_back(global_->make_workspace());
-    optimizers_.push_back(nn::Optimizer::make(cfg_.optimizer, *replicas_[g]));
+    optimizers_.push_back(nn::Optimizer::make(cfg_.optimizer, replicas_[g]));
   }
   // Cap absurd requests (e.g. a negative CLI value cast through size_t)
   // before sizing the pool; oversubscription past this helps nobody.
@@ -82,12 +81,11 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
   if (kernel_threads > 1) {
     kernel_pool_ = std::make_unique<util::ThreadPool>(kernel_threads);
     for (auto& ws : workspaces_) {
-      ws->ctx = kernels::Context{kernel_pool_.get(), kernel_threads};
+      ws.ctx = kernels::Context{kernel_pool_.get(), kernel_threads};
     }
     merge_ctx_ = kernels::Context{kernel_pool_.get(), kernel_threads};
   }
-  eval_ws_ = global_->make_workspace();
-  eval_ws_->ctx = merge_ctx_;
+  eval_ws_.ctx = merge_ctx_;
   last_batch_.resize(n);
   loss_slots_.resize(n);
   alive_.assign(n, 1);
@@ -100,7 +98,7 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
   {
     // Flat layout of the model segments (residual indexing) and the dense
     // 512-block group count (cost-only billing of model-sized transfers).
-    const auto segs = global_->segment_views();
+    const auto segs = global_.segment_views();
     seg_offset_.resize(segs.size());
     std::size_t off = 0;
     for (std::size_t s = 0; s < segs.size(); ++s) {
@@ -110,7 +108,7 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
     }
   }
   if (compressed_merge()) {
-    const std::size_t params = global_->num_parameters();
+    const std::size_t params = global_.num_parameters();
     residual_.resize(n);
     for (auto& r : residual_) r.assign(params, 0.0f);
     q16_scratch_.resize(n);
@@ -118,16 +116,6 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
     scale_scratch_.resize(n);
   }
   broadcast_global();
-}
-
-void MultiGpuRuntime::set_kernel_threads(std::size_t g, std::size_t n) {
-  auto& ctx = workspaces_[g]->ctx;
-  if (kernel_pool_ == nullptr || n <= 1) {
-    ctx = kernels::Context{};
-    return;
-  }
-  ctx.pool = kernel_pool_.get();
-  ctx.num_threads = std::min(n, kernel_pool_->size());
 }
 
 double MultiGpuRuntime::gpu_free_at(std::size_t g) const {
@@ -215,7 +203,7 @@ std::vector<std::size_t> MultiGpuRuntime::apply_joins_until(double t) {
     const auto ev = pending_joins_[join_cursor_++];
     if (alive_[ev.device]) continue;  // already a member (restored state)
     gpus_[ev.device]->revive_at(t);
-    replicas_[ev.device]->copy_from(*global_);
+    replicas_[ev.device].copy_from(global_);
     // A joiner seeds from the merged global model; any residual left from
     // its previous membership describes deltas that no longer exist.
     if (!residual_.empty()) {
@@ -255,7 +243,7 @@ double MultiGpuRuntime::charge_step(std::size_t g, const sparse::CsrMatrix& x,
                               static_cast<int>(g));
   const double data_ready = earliest_start + xfer;
 
-  auto kernels = global_->step_kernels(x);
+  auto kernels = global_.step_kernels(x);
   const double work_scale = cfg_.framework_overhead * cfg_.compute_scale;
   if (work_scale != 1.0) {
     for (auto& k : kernels) {
@@ -270,7 +258,7 @@ double MultiGpuRuntime::charge_step(std::size_t g, const sparse::CsrMatrix& x,
   const double avg_nnz = x.rows() > 0 ? static_cast<double>(x.nnz()) /
                                             static_cast<double>(x.rows())
                                       : 0.0;
-  const std::size_t step_bytes = global_->step_memory_bytes(x.rows(), avg_nnz);
+  const std::size_t step_bytes = global_.step_memory_bytes(x.rows(), avg_nnz);
   // Resolve the true kernel start (past any stall window) before touching
   // device state: a dead device must throw before the allocation so no
   // memory leaks on the unavailable path, and the OOM check must use the
@@ -304,15 +292,15 @@ double MultiGpuRuntime::run_update_step(std::size_t g, Batch batch, double lr,
     // compute + apply through the optimizer: for sgd this is bit-identical
     // to the old fused train_step (train_step == compute_gradients +
     // apply_gradients, and SgdOptimizer::apply IS apply_gradients).
-    const auto stats = replicas_[g]->compute_gradients(stored->x, stored->y,
-                                                       *workspaces_[g]);
-    optimizers_[g]->apply(*replicas_[g], *workspaces_[g],
+    const auto stats = replicas_[g].compute_gradients(stored->x, stored->y,
+                                                      workspaces_[g]);
+    optimizers_[g]->apply(replicas_[g], workspaces_[g],
                           static_cast<float>(lr),
                           static_cast<float>(cfg_.weight_decay));
     // Delta-merge bookkeeping rides inside the manager's work item: the
     // workspace gradient keys are only valid until the next step on g.
     if (cfg_.sparse_merge) {
-      touched_w1_[g].add(workspaces_[g]->touched_input_rows());
+      touched_w1_[g].add(workspaces_[g].grad_w1.rows());
     }
     loss_slots_[g].sum += stats.loss;
     loss_slots_[g].count += 1;
@@ -327,13 +315,12 @@ double MultiGpuRuntime::run_gradient_step(std::size_t g, Batch batch,
   last_batch_[g] = stored;
   executor_->dispatch(g, [this, g, stored] {
     const auto stats =
-        replicas_[g]->compute_gradients(stored->x, stored->y,
-                                        *workspaces_[g]);
+        replicas_[g].compute_gradients(stored->x, stored->y, workspaces_[g]);
     // Conservative for gradient-only steps (the rows may be applied later
     // by the trainer): over-tracking only widens the reduced union, which
     // stays bit-identical — under-tracking is what would break the merge.
     if (cfg_.sparse_merge) {
-      touched_w1_[g].add(workspaces_[g]->touched_input_rows());
+      touched_w1_[g].add(workspaces_[g].grad_w1.rows());
     }
     loss_slots_[g].sum += stats.loss;
     loss_slots_[g].count += 1;
@@ -372,13 +359,13 @@ comm::WirePayload MultiGpuRuntime::virtual_wire(std::size_t params,
 }
 
 comm::WirePayload MultiGpuRuntime::virtual_model_wire() const {
-  return virtual_wire(global_->num_parameters(), model_groups_);
+  return virtual_wire(global_.num_parameters(), model_groups_);
 }
 
 std::size_t MultiGpuRuntime::build_quant_groups(
     std::span<const std::uint32_t> union_rows, std::size_t hidden) {
   quant_groups_.clear();
-  const auto segs = global_->segment_views();
+  const auto segs = global_.segment_views();
   std::size_t dst = 0;
   const auto add_dense_segment = [&](std::size_t s) {
     const std::size_t len = segs[s].size();
@@ -459,7 +446,7 @@ std::size_t MultiGpuRuntime::merge_optimizer_state(
                                  });
   };
 
-  const auto& info = global_->info();
+  const auto& info = global_.info();
   const std::size_t hidden = info.input_cols();
   std::vector<float*> bases(n);
   std::size_t shipped = 0;
@@ -553,12 +540,12 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
   // transfers). No to_flat()/from_flat() staging and no model-sized
   // accumulator: the kernels stream each replica once and write only the
   // global/previous-global models; replicas are refreshed by the broadcast.
-  auto global_segs = global_->segment_views();
-  auto prev_segs = prev_global_->segment_views();
+  auto global_segs = global_.segment_views();
+  auto prev_segs = prev_global_.segment_views();
   std::vector<std::vector<std::span<float>>> replica_segs;
   replica_segs.reserve(n);
   for (const std::size_t g : alive_idx) {
-    replica_segs.push_back(replicas_[g]->segment_views());
+    replica_segs.push_back(replicas_[g].segment_views());
   }
   const std::size_t num_segments = global_segs.size();
   std::vector<const float*> bases(n);
@@ -568,7 +555,7 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
                   prev_segs[s], reducer_->num_streams(), merge_ctx_);
   };
 
-  std::size_t payload_params = global_->num_parameters();
+  std::size_t payload_params = global_.num_parameters();
   std::size_t payload_groups = 0;
   if (!compressed_merge()) {
     // ---- fp32 (bit-exact oracle) path: ships raw floats. ----------------
@@ -585,7 +572,7 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
       // only the alive members so the reduced set matches the survivor run.
       for (const std::size_t g : alive_idx) merge_union_.add(touched_w1_[g]);
       merge_union_.sorted_rows(merge_rows_scratch_);
-      const auto& info = global_->info();
+      const auto& info = global_.info();
       const std::size_t hidden = info.input_cols();
       for (std::size_t i = 0; i < n; ++i) bases[i] = replica_segs[i][0].data();
       merge_touched_rows(bases, merge_rows_scratch_, hidden, update,
@@ -599,7 +586,7 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
       // Communication payload: the touched-row delta plus the dense tail.
       payload_params =
           merge_union_.size() * hidden +
-          (global_->num_parameters() - info.input_rows() * hidden);
+          (global_.num_parameters() - info.input_rows() * hidden);
     }
   } else {
     // ---- Compressed merge: ship quantized deltas with error feedback. ---
@@ -607,7 +594,7 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
     // pending residual folded in), quantized per cfg.merge_precision; the
     // fused merge reconstructs wsum*global + sum_i w_i*dequant(q_i). See
     // DESIGN.md §10 for the pass structure and determinism argument.
-    const auto& info = global_->info();
+    const auto& info = global_.info();
     const std::size_t hidden = info.input_cols();
     std::span<const std::uint32_t> union_rows{};
     if (cfg_.sparse_merge) {
@@ -837,14 +824,14 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
                   sync_time + timing.allreduce_seconds,
                   timing.host_roundtrip_seconds});
   }
-  if (publish_hook_) publish_hook_(*global_, timing.finish);
+  if (publish_hook_) publish_hook_(global_, timing.finish);
   return timing;
 }
 
 void MultiGpuRuntime::broadcast_global() {
   for (std::size_t g = 0; g < replicas_.size(); ++g) {
     if (!alive_.empty() && !alive_[g]) continue;  // dead replicas rejoin later
-    replicas_[g]->copy_from(*global_);
+    replicas_[g].copy_from(global_);
   }
 }
 
@@ -852,7 +839,7 @@ void MultiGpuRuntime::record_curve_point(TrainResult& result, double vtime,
                                          std::size_t megabatch,
                                          double train_loss) {
   const auto eval =
-      nn::evaluate(*global_, dataset_.test, *eval_ws_, cfg_.eval_samples);
+      nn::evaluate(global_, dataset_.test, eval_ws_, cfg_.eval_samples);
   CurvePoint p;
   p.vtime = vtime;
   p.samples = stream_.samples_served();
@@ -870,7 +857,7 @@ void MultiGpuRuntime::record_curve_point(TrainResult& result, double vtime,
 std::size_t MultiGpuRuntime::max_feasible_batch(std::size_t g,
                                                 double at) const {
   const double avg_nnz = dataset_.train.features.avg_row_nnz();
-  const std::size_t per_sample = global_->step_memory_bytes(1, avg_nnz);
+  const std::size_t per_sample = global_.step_memory_bytes(1, avg_nnz);
   return gpus_[g]->max_batch_for(per_sample, at);
 }
 

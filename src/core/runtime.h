@@ -43,13 +43,13 @@ class MultiGpuRuntime {
   std::size_t num_gpus() const { return gpus_.size(); }
   const TrainerConfig& config() const { return cfg_; }
   const data::XmlDataset& dataset() const { return dataset_; }
-  /// Architecture of the (polymorphic) model being trained.
-  const nn::ModelInfo& model_info() const { return global_->info(); }
+  /// Shape of the model being trained.
+  const nn::ModelInfo& model_info() const { return global_.info(); }
 
   sim::VirtualGpu& gpu(std::size_t g) { return *gpus_[g]; }
   const sim::VirtualGpu& gpu(std::size_t g) const { return *gpus_[g]; }
-  nn::Model& replica(std::size_t g) { return *replicas_[g]; }
-  nn::ModelWorkspace& workspace(std::size_t g) { return *workspaces_[g]; }
+  nn::Model& replica(std::size_t g) { return replicas_[g]; }
+  nn::ModelWorkspace& workspace(std::size_t g) { return workspaces_[g]; }
 
   /// Replica g's update rule + state (cfg.optimizer). Trainers whose
   /// replicas advance independently (adaptive/elastic via run_update_step,
@@ -65,11 +65,6 @@ class MultiGpuRuntime {
   /// their aggregated gradients through this one.
   nn::Optimizer& global_optimizer() { return *global_optimizer_; }
   const nn::Optimizer& global_optimizer() const { return *global_optimizer_; }
-
-  /// Sets the kernel worker count for virtual GPU g's training-step math
-  /// (bounded by cfg.kernel_threads, which sizes the shared pool). Lets
-  /// heterogeneous simulations give fast devices more CPU workers.
-  void set_kernel_threads(std::size_t g, std::size_t n);
 
   /// Earliest time device g can accept new work (compute stream), pushed
   /// past any stall window; +infinity when the device is dead by then.
@@ -134,8 +129,8 @@ class MultiGpuRuntime {
 
   /// Previous global model (Algorithm 2 momentum state) — checkpointed
   /// alongside the global model for bit-identical recovery.
-  nn::Model& prev_global_model() { return *prev_global_; }
-  const nn::Model& prev_global_model() const { return *prev_global_; }
+  nn::Model& prev_global_model() { return prev_global_; }
+  const nn::Model& prev_global_model() const { return prev_global_; }
 
   /// Fast-forwards the sample stream without materializing ids
   /// (checkpoint resume).
@@ -177,7 +172,7 @@ class MultiGpuRuntime {
   /// buffer times cfg.comm_scale. All communication costs (all-reduce,
   /// host round trips) use this size.
   std::size_t virtual_model_bytes() const {
-    return virtual_payload_bytes(global_->num_parameters());
+    return virtual_payload_bytes(global_.num_parameters());
   }
 
   /// Interconnect charge for an arbitrary parameter count (the delta merge
@@ -281,8 +276,8 @@ class MultiGpuRuntime {
                                double sync_time);
 
   /// The current global model (host copy).
-  const nn::Model& global_model() const { return *global_; }
-  nn::Model& global_model() { return *global_; }
+  const nn::Model& global_model() const { return global_; }
+  nn::Model& global_model() { return global_; }
 
   /// Copies the global model into every replica (used at initialization and
   /// by trainers that keep identical replicas).
@@ -321,7 +316,7 @@ class MultiGpuRuntime {
   /// virtual finish time. This is the serving publication point
   /// (serve::SnapshotStore::publish): the model passed is exactly the
   /// state a checkpoint captured at the same boundary would serialize.
-  /// Runs on the training thread — keep it cheap (a clone + swap).
+  /// Runs on the training thread — keep it cheap (a copy + swap).
   /// Distinct from the Trainer boundary hook so checkpointing and serving
   /// can coexist. Pass nullptr to detach.
   using PublishHook = std::function<void(const nn::Model&, double vtime)>;
@@ -339,16 +334,17 @@ class MultiGpuRuntime {
   // cfg.kernel_threads resolves to 1); workspaces hold Contexts into it.
   std::unique_ptr<util::ThreadPool> kernel_pool_;
 
-  // Model state behind the nn::Model interface (nn::make_model from the
-  // configured hidden list): the runtime never names a concrete class.
-  std::unique_ptr<nn::Model> global_;
+  // The global model, built from the configured hidden list.
+  nn::Model global_;
   // Previous global model for the momentum term (Algorithm 2 line 8); kept
   // as a model so the merge runs segment-wise in place — no flat staging
   // buffers on the merge path.
-  std::unique_ptr<nn::Model> prev_global_;
+  nn::Model prev_global_;
 
-  std::vector<std::unique_ptr<nn::Model>> replicas_;
-  std::vector<std::unique_ptr<nn::ModelWorkspace>> workspaces_;
+  // One replica and workspace per device. Sized once at construction:
+  // manager threads hold references into them.
+  std::vector<nn::Model> replicas_;
+  std::vector<nn::ModelWorkspace> workspaces_;
   // Update rules + state (cfg.optimizer): one per replica plus one for the
   // global model. Crash/join always resets the affected replica's state
   // (moments describing a dead replica's trajectory are meaningless to the
@@ -379,7 +375,7 @@ class MultiGpuRuntime {
   // Context for the merge kernels (scheduler-side, whole pool).
   kernels::Context merge_ctx_;
   // Evaluation workspace of the global model; its context is merge_ctx_.
-  std::unique_ptr<nn::ModelWorkspace> eval_ws_;
+  nn::ModelWorkspace eval_ws_;
 
   // Merge-payload compression state (cfg.merge_precision != kFp32).
   // Residuals live in the flat model layout (segment concatenation order),

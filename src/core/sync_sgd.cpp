@@ -1,8 +1,8 @@
 #include "core/sync_sgd.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace hetero::core {
@@ -82,20 +82,20 @@ void SyncSgdTrainer::run_megabatch(TrainResult& result) {
     runtime_.dispatch_math(0, [this, batches = std::move(batches), &model, lr,
                                k] {
       auto& ws = runtime_.workspace(0);
-      std::vector<std::unique_ptr<nn::ModelWorkspace>> grads;
-      grads.reserve(k);
+      std::vector<nn::ModelWorkspace> grads(k);
       for (std::size_t i = 0; i < k; ++i) {
         // Workspace 0 is reused for activations; gradients are swapped out
         // so later batches do not overwrite earlier ones.
         const auto stats =
             model.compute_gradients(batches[i].x, batches[i].y, ws);
         runtime_.record_loss(0, stats.loss);
-        grads.push_back(model.make_workspace());
-        ws.swap_gradients(*grads.back());
+        std::swap(ws.grad_w1, grads[i].grad_w1);
+        std::swap(ws.grad_w, grads[i].grad_w);
+        std::swap(ws.grad_b, grads[i].grad_b);
       }
       const float scaled_lr = static_cast<float>(lr / static_cast<double>(k));
       for (std::size_t i = 0; i < k; ++i) {
-        runtime_.global_optimizer().apply(model, *grads[i], scaled_lr, 0.0f);
+        runtime_.global_optimizer().apply(model, grads[i], scaled_lr, 0.0f);
       }
     });
     runtime_.math_barrier();

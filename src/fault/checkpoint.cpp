@@ -133,7 +133,7 @@ void copy_blob_into(const std::string& blob, nn::Model& target) {
   std::istringstream in(blob, std::ios::binary);
   const auto loaded = nn::load_any_model(in);
   // The shape, not the parameter count: 91x6x16 and 64x8x16 both hold 664.
-  const auto& got = loaded->info();
+  const auto& got = loaded.info();
   const auto& want = target.info();
   if (got.num_features != want.num_features || got.hidden != want.hidden ||
       got.num_classes != want.num_classes) {
@@ -141,7 +141,7 @@ void copy_blob_into(const std::string& blob, nn::Model& target) {
                              " does not match runtime " +
                              shape_string(want));
   }
-  target.copy_from(*loaded);
+  target.copy_from(loaded);
 }
 
 }  // namespace

@@ -67,8 +67,8 @@ void count_hits(const float* p, std::size_t c,
 
 EvalResult evaluate(const Model& model, const sparse::LabeledDataset& test,
                     std::size_t max_samples, std::size_t eval_batch) {
-  const auto ws = model.make_workspace();
-  return evaluate(model, test, *ws, max_samples, eval_batch);
+  ModelWorkspace ws;
+  return evaluate(model, test, ws, max_samples, eval_batch);
 }
 
 EvalResult evaluate(const Model& model, const sparse::LabeledDataset& test,

@@ -24,12 +24,10 @@ struct EvalResult {
 /// batches of `eval_batch`. Using a fixed prefix keeps mega-batch-boundary
 /// evaluation cheap and comparable across algorithms; the paper likewise
 /// excludes evaluation time from its measurements.
-/// Works for any nn::Model; probs are read from the workspace the model
-/// itself creates (no architecture knowledge here beyond num_classes).
 EvalResult evaluate(const Model& model, const sparse::LabeledDataset& test,
                     std::size_t max_samples = 0, std::size_t eval_batch = 256);
 
-/// Same, through a workspace the caller keeps (from model.make_workspace()).
+/// Same, through a workspace the caller keeps across calls.
 /// Its kernel context runs each batch's forward pass and top-k scan; batches
 /// run in order and each row's work is unchanged, so the result is
 /// bit-identical to the serial call at any thread count.

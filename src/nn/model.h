@@ -1,38 +1,40 @@
-// Model abstraction: the contract between a neural network and the
-// multi-GPU training stack.
+// The sparse-input MLP: sparse input -> H1 -> ... -> Hk -> softmax, with
+// ReLU hidden activations and a multi-label cross-entropy loss.
 //
-// The paper's evaluation model is a 3-layer MLP (one hidden layer), and the
-// journal version evaluates deeper sparse MLPs; nn::DeepMlp implements both
-// and is the one implementation (make_model builds it). Everything above
-// this interface — MultiGpuRuntime, the trainers, the fused merge kernels in
-// core/merging, the sharded all-reduce, checkpointing, the CLI — is written
-// against nn::Model, so a new architecture plugs into the whole stack
-// (dynamic scheduling, delta merging, cost accounting, serialization) by
-// implementing this one interface.
+// With one hidden layer this is the paper's evaluation model, the SLIDE
+// testbed's 3-layer MLP (Section V-A); the journal version evaluates deeper
+// sparse stacks. It is the one model class: `--model mlp` and `--model deep`
+// both build it, and the runtime, the trainers, the fused merge kernels in
+// core/merging, the sharded all-reduce, checkpointing and serving all work
+// on it directly.
 //
 // Contract highlights:
 //   - segment_views() exposes the parameters as an ordered list of in-place
-//     tensor views. Segment 0 MUST be the sparse input layer, row-major
-//     (info().input_rows() x info().input_cols()): the delta merge reduces
-//     touched rows of that segment and applies the closed-form update to
-//     the rest. Concatenating the segments defines the flat checkpoint /
-//     all-reduce index space.
+//     tensor views, one [weights, biases] pair per layer. Segment 0 is the
+//     sparse input layer, row-major (info().input_rows() x
+//     info().input_cols()): the delta merge reduces touched rows of that
+//     segment and applies the closed-form update to the rest.
+//     Concatenating the segments defines the flat checkpoint / all-reduce
+//     index space.
 //   - compute_gradients/apply_gradients split so gradient-aggregating
 //     trainers (sync SGD, CROSSBOW, parameter server) can stage gradients;
-//     train_step fuses them for the replica-local trainers.
-//   - The first-layer gradient must be touched-row sparse: the workspace
-//     reports the rows via touched_input_rows(), which is what feeds the
-//     per-replica RowSet unions of the delta-aware merge.
+//     train_step fuses them.
+//   - The first-layer gradient is touched-row sparse: the workspace's
+//     grad_w1.rows() are the rows that feed the per-replica RowSet unions
+//     of the delta-aware merge.
 //   - step_kernels/step_memory_bytes report the virtual-GPU cost of one
 //     training step so the simulator charges depth- and nnz-dependent time.
 //   - All math routes through the workspace's kernels::Context: serial by
 //     default, n-way parallel when a ThreadPool is attached, bit-identical
 //     either way (kernels partition output rows).
+//
+// The one-hidden-layer kernel order, loss bits and virtual-GPU cost report
+// are pinned by tests/test_deep_mlp.cpp and tests/test_model_polymorphic.cpp:
+// every default run's model and virtual time depend on them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -45,7 +47,7 @@
 
 namespace hetero::nn {
 
-/// Architecture metadata shared by every model implementation.
+/// Shape of the model.
 struct ModelInfo {
   std::size_t num_features = 0;        // input dimension (sparse layer rows)
   std::vector<std::size_t> hidden;     // hidden widths; front() = layer-1 cols
@@ -59,13 +61,13 @@ struct ModelInfo {
   std::size_t num_bytes() const { return num_parameters * sizeof(float); }
 };
 
-/// Per-replica scratch state for training steps. Concrete models pair with
-/// a concrete workspace (created by Model::make_workspace); trainers only
-/// touch this base.
-class ModelWorkspace {
- public:
-  virtual ~ModelWorkspace() = default;
-
+/// Per-replica scratch state for training steps and evaluation:
+/// per-layer activation/delta buffers plus the per-layer gradients. The
+/// sparse input layer's gradient is a touched-row SparseGradient keyed per
+/// batch (no O(F x H1) dense buffer); dense-layer gradients are reused
+/// matrices. All buffers persist across steps, so steady-state training
+/// does no per-batch allocation.
+struct ModelWorkspace {
   /// Softmax output of the last forward pass (batch x num_classes). Written
   /// by forward_loss/compute_gradients; read by evaluation.
   tensor::Matrix probs;
@@ -75,26 +77,31 @@ class ModelWorkspace {
   /// results are bit-identical to serial.
   kernels::Context ctx;
 
-  /// Sorted logical rows of the sparse input layer touched by the gradient
-  /// currently held in this workspace (valid until the next
-  /// compute_gradients). Feeds the delta-merge RowSet unions.
-  virtual std::span<const std::uint32_t> touched_input_rows() const = 0;
+  // Indexed by hidden layer (0 .. num_hidden-1); the output layer's
+  // activations live in `probs`.
+  std::vector<tensor::Matrix> pre;     // batch x H_l, pre-activation
+  std::vector<tensor::Matrix> acts;    // batch x H_l, post-ReLU
+  // Indexed by layer (0 .. num_layers-1); deltas.back() is batch x C.
+  std::vector<tensor::Matrix> deltas;
 
-  /// Swaps the gradient tensors with `other` (same dynamic type; asserted).
-  /// Gradient-aggregating trainers stage per-batch gradients this way
-  /// without copying, leaving both workspaces reusable.
-  virtual void swap_gradients(ModelWorkspace& other) = 0;
+  // Gradients of the last compute_gradients, valid until the next one.
+  sparse::SparseGradient grad_w1;      // touched rows of F x H1 (segment 0)
+  std::vector<tensor::Matrix> grad_w;  // dense layers 1..L-1 (index l-1)
+  std::vector<std::vector<float>> grad_b;  // all layers
 
-  /// Read-only views of the gradients staged by the last compute_gradients,
-  /// aligned with Model::segment_views(): `input` is the touched-row sparse
-  /// gradient of segment 0, `dense` holds one flat span per remaining
-  /// segment, in segment order. This is how nn::Optimizer implementations
-  /// consume gradients without knowing the concrete workspace type.
-  struct GradientViews {
-    const sparse::SparseGradient* input = nullptr;
-    std::vector<std::span<const float>> dense;
-  };
-  virtual GradientViews gradient_views() const = 0;
+  /// Gradient of parameter segment `seg` >= 1, aligned with
+  /// Model::segment_views() (segment 0 is grad_w1).
+  std::span<const float> dense_gradient(std::size_t seg) const {
+    const std::size_t layer = seg / 2;
+    return seg % 2 == 1 ? std::span<const float>(grad_b[layer])
+                        : grad_w[layer - 1].flat();
+  }
+
+  /// Sizes the forward buffers (pre, acts) only: evaluation never reads
+  /// the gradient buffers, so forward_loss does not allocate them.
+  void ensure_forward(const ModelInfo& info);
+  /// Sizes the forward buffers plus deltas and gradients.
+  void ensure(const ModelInfo& info);
 };
 
 struct StepStats {
@@ -105,88 +112,90 @@ struct StepStats {
 
 class Model {
  public:
-  virtual ~Model() = default;
+  /// An empty model; assign a constructed one before use.
+  Model() = default;
+  /// One hidden layer per entry of `hidden`, parameters zero. Throws
+  /// std::invalid_argument on an empty hidden list or a zero width.
+  Model(std::size_t num_features, std::vector<std::size_t> hidden,
+        std::size_t num_classes);
 
-  virtual const ModelInfo& info() const = 0;
-  std::size_t num_parameters() const { return info().num_parameters; }
-  std::size_t num_bytes() const { return info().num_bytes(); }
+  const ModelInfo& info() const { return info_; }
+  std::size_t num_parameters() const { return info_.num_parameters; }
+  std::size_t num_bytes() const { return info_.num_bytes(); }
 
   /// Random initialization (weights ~ N(0, 1/sqrt(fan_in)), biases zero).
   /// All replicas start from one init + broadcast (paper methodology).
-  virtual void init(util::Rng& rng) = 0;
+  void init(util::Rng& rng);
 
-  /// Deep copy preserving the dynamic type.
-  virtual std::unique_ptr<Model> clone() const = 0;
+  /// Copies parameters from `other` (same shape; asserted). The broadcast
+  /// primitive — replicas are refreshed from the global model without
+  /// reallocation.
+  void copy_from(const Model& other);
 
-  /// Copies parameters from `other` (same architecture; asserted). The
-  /// broadcast primitive — replicas are refreshed from the global model
-  /// without reallocation.
-  virtual void copy_from(const Model& other) = 0;
-
-  /// Creates a workspace matching this architecture.
-  virtual std::unique_ptr<ModelWorkspace> make_workspace() const = 0;
-
-  /// In-place views of the parameter tensors. Segment 0 is the sparse input
-  /// layer (see the contract above); concatenation order defines the flat
-  /// format. Views stay valid while the model is alive.
-  virtual std::vector<std::span<float>> segment_views() = 0;
+  /// In-place parameter views: one [weights, biases] pair per layer, in
+  /// flat order. Views stay valid while the model is alive.
+  std::vector<std::span<float>> segment_views();
 
   /// L2 norm over all parameters / parameter count (Algorithm 2 gate).
-  virtual double l2_norm_per_parameter() const = 0;
+  double l2_norm_per_parameter() const;
 
   // --- training ------------------------------------------------------------
 
   /// Forward + backward + update with learning rate `lr`. Returns the mean
-  /// cross-entropy. The workspace keeps the step's gradients (and their
-  /// touched_input_rows) until the next step.
-  virtual StepStats train_step(const sparse::CsrMatrix& x,
-                               const sparse::CsrMatrix& y, float lr,
-                               ModelWorkspace& ws,
-                               float weight_decay = 0.0f) = 0;
+  /// cross-entropy. The workspace keeps the step's gradients until the next
+  /// step.
+  StepStats train_step(const sparse::CsrMatrix& x, const sparse::CsrMatrix& y,
+                       float lr, ModelWorkspace& ws,
+                       float weight_decay = 0.0f);
 
   /// Forward + backward only: gradients stay in `ws`, the model is not
   /// touched.
-  virtual StepStats compute_gradients(const sparse::CsrMatrix& x,
-                                      const sparse::CsrMatrix& y,
-                                      ModelWorkspace& ws) const = 0;
+  StepStats compute_gradients(const sparse::CsrMatrix& x,
+                              const sparse::CsrMatrix& y,
+                              ModelWorkspace& ws) const;
 
   /// Applies the gradients staged in `ws` with learning rate `lr`. Sparse
   /// first layer: only the touched rows carry gradient (and decay).
-  virtual void apply_gradients(const ModelWorkspace& ws, float lr,
-                               float weight_decay = 0.0f) = 0;
+  void apply_gradients(const ModelWorkspace& ws, float lr,
+                       float weight_decay = 0.0f);
 
   /// Forward + loss only (no gradients); probs are left in ws.probs.
-  virtual double forward_loss(const sparse::CsrMatrix& x,
-                              const sparse::CsrMatrix& y,
-                              ModelWorkspace& ws) const = 0;
+  double forward_loss(const sparse::CsrMatrix& x, const sparse::CsrMatrix& y,
+                      ModelWorkspace& ws) const;
 
   // --- virtual-GPU cost reporting ------------------------------------------
 
   /// Kernel sequence a GPU would launch for one train_step on this batch.
-  virtual std::vector<sim::KernelDesc> step_kernels(
-      const sparse::CsrMatrix& x) const = 0;
+  std::vector<sim::KernelDesc> step_kernels(const sparse::CsrMatrix& x) const;
 
   /// Device memory footprint of one step's transient state (activations,
   /// deltas, gradients, batch CSR) for the given batch shape.
-  virtual std::size_t step_memory_bytes(std::size_t batch_size,
-                                        double avg_nnz) const = 0;
+  std::size_t step_memory_bytes(std::size_t batch_size, double avg_nnz) const;
 
   // --- flat format (checkpoints / diagnostics; NOT on the training path) ---
 
-  /// Serializes all parameters into one flat buffer in segment order.
-  virtual std::vector<float> to_flat() const = 0;
-  virtual void from_flat(std::span<const float> flat) = 0;
+  /// Flat order: W0,b0,W1,b1,...,W_{L-1},b_{L-1} (layer 0 = sparse input).
+  std::vector<float> to_flat() const;
+  void from_flat(std::span<const float> flat);
 
-  /// Squared L2 distance to another model of the same architecture
+  /// Squared L2 distance to another model of the same shape
   /// (test/diagnostic helper; allocates flats).
   double squared_distance(const Model& other) const;
-};
 
-/// Factory: builds the sparse-input MLP (nn::DeepMlp) with one hidden layer
-/// per entry of `hidden`. Throws std::invalid_argument on an empty hidden
-/// list or a zero width.
-std::unique_ptr<Model> make_model(std::size_t num_features,
-                                  std::span<const std::size_t> hidden,
-                                  std::size_t num_classes);
+  /// Layer weight matrices / biases (layer 0 is the sparse input layer).
+  tensor::Matrix& weights(std::size_t layer) { return weights_[layer]; }
+  const tensor::Matrix& weights(std::size_t layer) const {
+    return weights_[layer];
+  }
+  std::vector<float>& biases(std::size_t layer) { return biases_[layer]; }
+  const std::vector<float>& biases(std::size_t layer) const {
+    return biases_[layer];
+  }
+
+ private:
+  ModelInfo info_;
+  std::vector<tensor::Matrix> weights_;     // per layer
+  std::vector<std::vector<float>> biases_;  // per layer
+};
 
 }  // namespace hetero::nn

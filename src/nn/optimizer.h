@@ -86,7 +86,7 @@ class Optimizer {
 
   /// Applies the gradients staged in `ws` to `model` and advances the
   /// state. `model` must match the constructing architecture. Segment 0 is
-  /// updated lazily over ws.gradient_views().input's touched rows.
+  /// updated lazily over ws.grad_w1's touched rows.
   virtual void apply(Model& model, const ModelWorkspace& ws, float lr,
                      float weight_decay) = 0;
 

@@ -30,8 +30,7 @@ class AdagradOptimizer final : public StatefulOptimizer {
              float weight_decay) override {
     auto segs = model.segment_views();
     assert(segs.size() == seg_sizes_.size());
-    const auto views = ws.gradient_views();
-    const auto& sg = *views.input;
+    const auto& sg = ws.grad_w1;
     assert(sg.logical_rows() == input_rows_);
     assert(sg.cols() == input_cols_);
     const auto& vk = vec::kernels();
@@ -59,8 +58,8 @@ class AdagradOptimizer final : public StatefulOptimizer {
     // Dense tail.
     ++step_;
     for (std::size_t seg = 1; seg < segs.size(); ++seg) {
-      assert(views.dense[seg - 1].size() == segs[seg].size());
-      vk.adagrad_update(segs[seg].data(), views.dense[seg - 1].data(),
+      assert(ws.dense_gradient(seg).size() == segs[seg].size());
+      vk.adagrad_update(segs[seg].data(), ws.dense_gradient(seg).data(),
                         slot_seg(0, seg), p, segs[seg].size());
     }
   }

@@ -42,8 +42,7 @@ class AdamOptimizer final : public StatefulOptimizer {
              float weight_decay) override {
     auto segs = model.segment_views();
     assert(segs.size() == seg_sizes_.size());
-    const auto views = ws.gradient_views();
-    const auto& sg = *views.input;
+    const auto& sg = ws.grad_w1;
     assert(sg.logical_rows() == input_rows_);
     assert(sg.cols() == input_cols_);
     const auto& vk = vec::kernels();
@@ -82,8 +81,8 @@ class AdamOptimizer final : public StatefulOptimizer {
     p.bias1 = bias_correction(beta1_, t);
     p.bias2 = bias_correction(beta2_, t);
     for (std::size_t seg = 1; seg < segs.size(); ++seg) {
-      assert(views.dense[seg - 1].size() == segs[seg].size());
-      vk.adam_update(segs[seg].data(), views.dense[seg - 1].data(),
+      assert(ws.dense_gradient(seg).size() == segs[seg].size());
+      vk.adam_update(segs[seg].data(), ws.dense_gradient(seg).data(),
                      slot_seg(0, seg), slot_seg(1, seg), p, segs[seg].size());
     }
   }

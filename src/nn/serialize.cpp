@@ -6,9 +6,9 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "nn/deep_mlp.h"
 #include "util/error.h"
 
 namespace hetero::nn {
@@ -103,7 +103,7 @@ void save_model_file(const std::string& path, const Model& model) {
   save_model(out, model);
 }
 
-std::unique_ptr<Model> load_any_model(std::istream& in) {
+Model load_any_model(std::istream& in) {
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -122,12 +122,10 @@ std::unique_ptr<Model> load_any_model(std::istream& in) {
         static_cast<unsigned __int128>(num_features) * hidden + hidden +
         static_cast<unsigned __int128>(hidden) * num_classes + num_classes;
     check_params_present(in, params);
-    DeepMlpConfig cfg;
-    cfg.num_features = static_cast<std::size_t>(num_features);
-    cfg.hidden = {static_cast<std::size_t>(hidden)};
-    cfg.num_classes = static_cast<std::size_t>(num_classes);
-    auto model = std::make_unique<DeepMlp>(cfg);
-    read_params(in, *model);
+    Model model(static_cast<std::size_t>(num_features),
+                {static_cast<std::size_t>(hidden)},
+                static_cast<std::size_t>(num_classes));
+    read_params(in, model);
     return model;
   }
   if (version == kVersionLayerList) {
@@ -135,37 +133,37 @@ std::unique_ptr<Model> load_any_model(std::istream& in) {
     if (num_hidden == 0 || num_hidden > kMaxHiddenLayers) {
       bad_blob(in, "bad hidden-layer count " + std::to_string(num_hidden));
     }
-    DeepMlpConfig cfg;
-    cfg.num_features = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-    cfg.hidden.clear();
+    const auto num_features =
+        static_cast<std::size_t>(read_pod<std::uint64_t>(in));
+    std::vector<std::size_t> hidden;
     for (std::uint64_t l = 0; l < num_hidden; ++l) {
       const auto width = read_pod<std::uint64_t>(in);
       if (width == 0) {
         bad_blob(in, "zero-width hidden layer");
       }
-      cfg.hidden.push_back(static_cast<std::size_t>(width));
+      hidden.push_back(static_cast<std::size_t>(width));
     }
-    cfg.num_classes = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-    if (cfg.num_features == 0 || cfg.num_classes == 0) {
+    const auto num_classes =
+        static_cast<std::size_t>(read_pod<std::uint64_t>(in));
+    if (num_features == 0 || num_classes == 0) {
       bad_blob(in, "zero model dimension");
     }
     unsigned __int128 params = 0;
-    std::uint64_t prev = static_cast<std::uint64_t>(cfg.num_features);
-    for (const std::size_t h : cfg.hidden) {
+    std::uint64_t prev = static_cast<std::uint64_t>(num_features);
+    for (const std::size_t h : hidden) {
       params += static_cast<unsigned __int128>(prev) * h + h;
       prev = h;
     }
-    params += static_cast<unsigned __int128>(prev) * cfg.num_classes +
-              cfg.num_classes;
+    params += static_cast<unsigned __int128>(prev) * num_classes + num_classes;
     check_params_present(in, params);
-    auto model = std::make_unique<DeepMlp>(cfg);
-    read_params(in, *model);
+    Model model(num_features, std::move(hidden), num_classes);
+    read_params(in, model);
     return model;
   }
   bad_blob(in, "unsupported version " + std::to_string(version));
 }
 
-std::unique_ptr<Model> load_any_model_file(const std::string& path) {
+Model load_any_model_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("model checkpoint: cannot open " + path);
   return load_any_model(in);

@@ -11,13 +11,12 @@
 //
 // save_model picks the format from the shape: v1 for one hidden layer — old
 // checkpoints and old readers keep working byte-for-byte — and v2 for
-// deeper stacks. Both versions load into a DeepMlp, including one-hidden-
+// deeper stacks. Both versions load into an nn::Model, including one-hidden-
 // layer v2 files written before the shape decided the format. Little-endian
 // host order (the format is a local checkpoint, not a wire protocol).
 #pragma once
 
 #include <iosfwd>
-#include <memory>
 #include <string>
 
 #include "nn/model.h"
@@ -29,11 +28,11 @@ namespace hetero::nn {
 void save_model(std::ostream& out, const Model& model);
 void save_model_file(const std::string& path, const Model& model);
 
-/// Reads a checkpoint of any supported version into a DeepMlp; throws
+/// Reads a checkpoint of any supported version into a Model; throws
 /// hetero::ParseError (a std::runtime_error) on malformed input — bad
 /// magic, truncation, and headers whose implied parameter payload exceeds
 /// the remaining stream size (checked before any allocation).
-std::unique_ptr<Model> load_any_model(std::istream& in);
-std::unique_ptr<Model> load_any_model_file(const std::string& path);
+Model load_any_model(std::istream& in);
+Model load_any_model_file(const std::string& path);
 
 }  // namespace hetero::nn

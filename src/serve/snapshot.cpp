@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "fault/checkpoint.h"
-#include "nn/deep_mlp.h"
 #include "nn/serialize.h"
 #include "sparse/ops.h"
 #include "tensor/ops.h"
@@ -18,30 +17,15 @@
 
 namespace hetero::serve {
 
-namespace {
-
-std::string serialize_model(const nn::Model& model) {
-  std::ostringstream out(std::ios::binary);
-  nn::save_model(out, model);
-  return std::move(out).str();
-}
-
-nn::DeepMlp copy_of(const nn::Model& global) {
-  const auto& info = global.info();
-  nn::DeepMlp net({info.num_features, info.hidden, info.num_classes});
-  net.copy_from(global);
-  return net;
-}
-
-}  // namespace
-
 ModelSnapshot::ModelSnapshot(const nn::Model& global, std::uint64_t version,
                              double vtime, const LshParams& lsh)
-    : model_(copy_of(global)),
-      version_(version),
-      vtime_(vtime),
-      blob_(serialize_model(model_)),
-      lsh_(lsh) {}
+    : model_(global), version_(version), vtime_(vtime), lsh_(lsh) {}
+
+std::string ModelSnapshot::blob() const {
+  std::ostringstream out(std::ios::binary);
+  nn::save_model(out, model_);
+  return std::move(out).str();
+}
 
 const tensor::Matrix& ModelSnapshot::output_weights() const {
   return model_.weights(info().hidden.size());
@@ -189,7 +173,7 @@ bool ModelSnapshot::topk_lsh(std::size_t row, std::size_t k, QueryScratch& s,
 
 std::shared_ptr<const ModelSnapshot> SnapshotStore::publish(
     const nn::Model& global, double vtime) {
-  // The snapshot clone + serialization happens under the mutex, which only
+  // The snapshot copy happens under the mutex, which only
   // stalls refresh() callers whose cached version is already stale and cold
   // current() readers — steady-state workers pass the version check and
   // keep serving the previous snapshot until the store below completes.
@@ -229,15 +213,13 @@ std::shared_ptr<const ModelSnapshot> SnapshotStore::publish_from_file(
   in.seekg(0);
   const std::string tag(magic, sizeof(magic));
   if (tag == "HGPU") {
-    const auto model = nn::load_any_model(in);
-    return publish(*model, 0.0);
+    return publish(nn::load_any_model(in), 0.0);
   }
   if (tag == "HGCK") {
     in.close();
     const fault::TrainingCheckpoint ckpt = fault::load_checkpoint_file(path);
     std::istringstream blob(ckpt.global_blob, std::ios::binary);
-    const auto model = nn::load_any_model(blob);
-    return publish(*model, ckpt.vtime);
+    return publish(nn::load_any_model(blob), ckpt.vtime);
   }
   throw ParseError("snapshot",
                    "unrecognized magic in " + path + " (want HGPU or HGCK)");
@@ -248,13 +230,7 @@ void SnapshotStore::dump_current(const std::string& path) const {
   if (!snap) {
     throw std::runtime_error("SnapshotStore::dump_current: no snapshot");
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(snap->blob().data(),
-            static_cast<std::streamsize>(snap->blob().size()));
-  if (!out) {
-    throw std::runtime_error("SnapshotStore::dump_current: write failed: " +
-                             path);
-  }
+  nn::save_model_file(path, snap->model());
 }
 
 }  // namespace hetero::serve

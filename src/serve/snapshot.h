@@ -5,12 +5,10 @@
 // their cached snapshot with one atomic version load per wave and never
 // block the merge path. A snapshot owns everything a query needs:
 //
-//   - a copy of the global model at publication time, held as the concrete
-//     nn::DeepMlp so scoring reads its layer tensors directly (no virtual
-//     dispatch on the hot path),
-//   - the model's serialized HGPU blob, eagerly captured so a snapshot can
-//     be dumped to disk and is byte-comparable to the global-model blob
-//     inside an HGCK checkpoint taken at the same boundary,
+//   - a copy of the global model at publication time, whose layer tensors
+//     scoring reads directly; its serialized HGPU blob (blob(), built on
+//     request) is byte-comparable to the global-model blob inside an HGCK
+//     checkpoint taken at the same boundary,
 //   - a lazily built SLIDE bundle (transposed output layer + LshIndex),
 //     constructed under std::call_once by the first LSH query against this
 //     version and shared by all workers thereafter.
@@ -34,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "nn/deep_mlp.h"
+#include "nn/model.h"
 #include "serve/topk.h"
 #include "slide/lsh_table.h"
 #include "sparse/csr.h"
@@ -67,7 +65,7 @@ struct QueryScratch {
 
 class ModelSnapshot {
  public:
-  /// Deep-copies `global` (an nn::DeepMlp, the one model class).
+  /// Deep-copies `global`.
   ModelSnapshot(const nn::Model& global, std::uint64_t version, double vtime,
                 const LshParams& lsh);
 
@@ -77,10 +75,10 @@ class ModelSnapshot {
   const nn::ModelInfo& info() const { return model_.info(); }
   const nn::Model& model() const { return model_; }
 
-  /// Serialized HGPU bytes of the model, captured at construction.
-  /// Byte-identical to the `global_blob` of a checkpoint taken at the same
-  /// merge boundary, and loadable by nn::load_any_model.
-  const std::string& blob() const { return blob_; }
+  /// Serialized HGPU bytes of the model, built on each call (publication
+  /// never serializes). Byte-identical to the `global_blob` of a checkpoint
+  /// taken at the same merge boundary, and loadable by nn::load_any_model.
+  std::string blob() const;
 
   // --- scoring -------------------------------------------------------------
 
@@ -134,10 +132,9 @@ class ModelSnapshot {
   const tensor::Matrix& output_weights() const;  // H_last x C
   std::span<const float> output_bias() const;
 
-  nn::DeepMlp model_;
+  nn::Model model_;
   std::uint64_t version_ = 0;
   double vtime_ = 0.0;
-  std::string blob_;
   LshParams lsh_;
 
   mutable std::once_flag lsh_once_;
@@ -153,7 +150,7 @@ class SnapshotStore {
  public:
   explicit SnapshotStore(LshParams lsh = {}) : lsh_(lsh) {}
 
-  /// Clones `global` into a new immutable snapshot (version = previous + 1)
+  /// Copies `global` into a new immutable snapshot (version = previous + 1)
   /// and swaps it in. Returns the published snapshot. The version counter
   /// is bumped last, so a version observed by refresh() always has its
   /// snapshot already in place.
@@ -189,7 +186,7 @@ class SnapshotStore {
   std::shared_ptr<const ModelSnapshot> publish_from_file(
       const std::string& path);
 
-  /// Writes the current snapshot's HGPU blob to `path` (loadable by
+  /// Writes the current snapshot's HGPU model to `path` (loadable by
   /// publish_from_file and nn::load_any_model_file). Throws
   /// std::runtime_error if nothing has been published or on I/O failure.
   void dump_current(const std::string& path) const;

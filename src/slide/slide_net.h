@@ -3,7 +3,7 @@
 // Defense of Smart Algorithms over Hardware Acceleration", the paper's CPU
 // baseline).
 //
-// Layout differs from nn::DeepMlp: the output weights are stored
+// Layout differs from nn::Model: the output weights are stored
 // neuron-major (C x H) so a neuron's weight vector is contiguous — needed
 // both for per-neuron LSH hashing and for touching only the active rows.
 #pragma once

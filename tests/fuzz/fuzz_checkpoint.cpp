@@ -21,18 +21,16 @@ namespace {
 namespace fuzz = util::fuzz;
 
 std::string serialized_model_v1() {
-  const std::size_t hidden[] = {6};
-  const auto model = nn::make_model(12, hidden, 4);
+  const nn::Model model(12, {6}, 4);
   std::ostringstream out(std::ios::binary);
-  nn::save_model(out, *model);
+  nn::save_model(out, model);
   return out.str();
 }
 
 std::string serialized_model_v2() {
-  const std::size_t hidden[] = {8, 5};
-  const auto model = nn::make_model(10, hidden, 3);
+  const nn::Model model(10, {8, 5}, 3);
   std::ostringstream out(std::ios::binary);
-  nn::save_model(out, *model);
+  nn::save_model(out, model);
   return out.str();
 }
 
@@ -99,7 +97,7 @@ TEST(FuzzCheckpoint, ModelBlobLoaderNeverCrashesOrOverAllocates) {
         const auto model = nn::load_any_model(in);
         // The v1/v2 headers were validated against the payload actually
         // present, so the parameter count is bounded by the input size.
-        if (model->num_parameters() * sizeof(float) > input.size()) {
+        if (model.num_parameters() * sizeof(float) > input.size()) {
           throw std::logic_error("model larger than its serialized form");
         }
       });

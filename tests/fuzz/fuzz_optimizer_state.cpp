@@ -26,10 +26,9 @@ namespace {
 namespace fuzz = util::fuzz;
 
 std::string serialized_model() {
-  const std::size_t hidden[] = {6};
-  const auto model = nn::make_model(12, hidden, 4);
+  const nn::Model model(12, {6}, 4);
   std::ostringstream out(std::ios::binary);
-  nn::save_model(out, *model);
+  nn::save_model(out, model);
   return out.str();
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "comm/quant.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
 
@@ -167,6 +168,31 @@ TEST(AllReduce, ToStringNames) {
   EXPECT_EQ(to_string(AllReduceAlgo::kCentral), "central");
   EXPECT_EQ(to_string(AllReduceAlgo::kTreeSingleStream), "tree-1stream");
   EXPECT_EQ(to_string(AllReduceAlgo::kRingMultiStream), "ring-multistream");
+}
+
+// The compressed-merge billing: a 32-byte header plus one fp32 scale per
+// int8 group on top of the element bytes. It sets virtual_s for every
+// compressed run, so the figures are pinned exactly.
+TEST(WirePayload, PinnedBytesPerPrecision) {
+  struct Case {
+    MergePrecision precision;
+    std::uint64_t groups, elems;
+    double payload, metadata;
+  };
+  const Case cases[] = {
+      {MergePrecision::kFp32, 3, 1300, 5200, 0},
+      {MergePrecision::kFp16, 3, 1300, 2600, 32},
+      {MergePrecision::kInt8, 3, 1300, 1300, 44},
+      {MergePrecision::kFp32, 0, 0, 0, 0},
+      {MergePrecision::kFp16, 0, 0, 0, 32},
+      {MergePrecision::kInt8, 0, 0, 0, 32},
+  };
+  for (const auto& c : cases) {
+    const auto w = wire_payload(c.precision, c.groups, c.elems);
+    EXPECT_EQ(w.payload_bytes, c.payload) << precision_name(c.precision);
+    EXPECT_EQ(w.metadata_bytes, c.metadata) << precision_name(c.precision);
+    EXPECT_EQ(w.total(), c.payload + c.metadata);
+  }
 }
 
 class GpuCountParam : public ::testing::TestWithParam<std::size_t> {};

@@ -1,4 +1,4 @@
-#include "nn/deep_mlp.h"
+#include "nn/model.h"
 
 #include <gtest/gtest.h>
 
@@ -24,12 +24,8 @@ std::uint64_t fnv1a(const std::vector<float>& v) {
   return h;
 }
 
-DeepMlpConfig deep_config(std::vector<std::size_t> hidden) {
-  DeepMlpConfig cfg;
-  cfg.num_features = 24;
-  cfg.hidden = std::move(hidden);
-  cfg.num_classes = 6;
-  return cfg;
+Model deep_model(std::vector<std::size_t> hidden) {
+  return Model(24, std::move(hidden), 6);
 }
 
 sparse::CsrMatrix batch_x(std::size_t rows, std::size_t cols,
@@ -58,32 +54,30 @@ sparse::CsrMatrix batch_y(std::size_t rows, std::size_t classes,
   return b.build();
 }
 
-TEST(DeepMlp, ParameterCount) {
-  const auto cfg = deep_config({8, 4});
+TEST(Model, ParameterCount) {
+  const Model net = deep_model({8, 4});
   // 24*8+8 + 8*4+4 + 4*6+6 = 200 + 36 + 30 = 266.
-  EXPECT_EQ(cfg.num_parameters(), 266u);
-  DeepMlp net(cfg);
   EXPECT_EQ(net.num_parameters(), 266u);
-  EXPECT_EQ(cfg.num_layers(), 3u);
+  EXPECT_EQ(net.info().num_layers(), 3u);
   EXPECT_EQ(net.info().hidden, (std::vector<std::size_t>{8, 4}));
   EXPECT_EQ(net.info().input_rows(), 24u);
   EXPECT_EQ(net.info().input_cols(), 8u);
 }
 
-TEST(DeepMlp, FlatRoundTrip) {
+TEST(Model, FlatRoundTrip) {
   util::Rng rng(1);
-  DeepMlp a(deep_config({8, 4}));
+  Model a = deep_model({8, 4});
   a.init(rng);
   const auto flat = a.to_flat();
   ASSERT_EQ(flat.size(), a.num_parameters());
-  DeepMlp b(deep_config({8, 4}));
+  Model b = deep_model({8, 4});
   b.from_flat(flat);
   EXPECT_EQ(b.to_flat(), flat);
 }
 
-TEST(DeepMlp, SegmentViewsMatchFlatLayout) {
+TEST(Model, SegmentViewsMatchFlatLayout) {
   util::Rng rng(2);
-  DeepMlp net(deep_config({8, 4}));
+  Model net = deep_model({8, 4});
   net.init(rng);
   const auto flat = net.to_flat();
   const auto views = net.segment_views();
@@ -98,42 +92,42 @@ TEST(DeepMlp, SegmentViewsMatchFlatLayout) {
   EXPECT_EQ(off, net.num_parameters());
 }
 
-TEST(DeepMlp, CloneAndCopyFromPreserveParameters) {
+TEST(Model, CopyAndCopyFromPreserveParameters) {
   util::Rng rng(9);
-  DeepMlp net(deep_config({8, 4}));
+  Model net = deep_model({8, 4});
   net.init(rng);
-  const auto cloned = net.clone();
-  EXPECT_EQ(cloned->to_flat(), net.to_flat());
+  const Model copied = net;
+  EXPECT_EQ(copied.to_flat(), net.to_flat());
 
-  DeepMlp other(deep_config({8, 4}));
+  Model other = deep_model({8, 4});
   other.copy_from(net);
   EXPECT_EQ(other.to_flat(), net.to_flat());
 }
 
-TEST(DeepMlp, LossDecreasesAtEveryDepth) {
+TEST(Model, LossDecreasesAtEveryDepth) {
   for (const auto& hidden : std::vector<std::vector<std::size_t>>{
            {8}, {8, 8}, {12, 8, 6}}) {
     util::Rng rng(7);
-    DeepMlp net(deep_config(hidden));
+    Model net = deep_model(hidden);
     net.init(rng);
-    const auto ws = net.make_workspace();
+    ModelWorkspace ws;
     const auto x = batch_x(8, 24, rng);
     const auto y = batch_y(8, 6, rng);
-    const double initial = net.forward_loss(x, y, *ws);
-    for (int i = 0; i < 80; ++i) net.train_step(x, y, 0.3f, *ws);
-    EXPECT_LT(net.forward_loss(x, y, *ws), initial * 0.6)
+    const double initial = net.forward_loss(x, y, ws);
+    for (int i = 0; i < 80; ++i) net.train_step(x, y, 0.3f, ws);
+    EXPECT_LT(net.forward_loss(x, y, ws), initial * 0.6)
         << "depth " << hidden.size();
   }
 }
 
-TEST(DeepMlp, OneHiddenLayerBitIdenticalToMlpModel) {
+TEST(Model, OneHiddenLayerBitIdenticalToMlpModel) {
   // One SGD step of the paper's 3-layer model. Every value below was
   // captured from the former dedicated one-hidden-layer class (MlpModel),
-  // which DeepMlp replaced: the parameters before and after the step, the
+  // which nn::Model replaced: the parameters before and after the step, the
   // loss bits, the virtual-GPU kernel list and the memory estimate. The
   // simulator schedules from the last two, so they pin virtual time too.
   util::Rng rng(3);
-  DeepMlp net(deep_config({8}));
+  Model net = deep_model({8});
   net.init(rng);
   ASSERT_EQ(net.num_parameters(), 254u);
   EXPECT_EQ(fnv1a(net.to_flat()), 0xb691ccdfb6a56401ull);
@@ -141,8 +135,8 @@ TEST(DeepMlp, OneHiddenLayerBitIdenticalToMlpModel) {
   util::Rng data_rng(4);
   const auto x = batch_x(5, 24, data_rng);
   const auto y = batch_y(5, 6, data_rng);
-  const auto ws = net.make_workspace();
-  const auto stats = net.train_step(x, y, 0.2f, *ws);
+  ModelWorkspace ws;
+  const auto stats = net.train_step(x, y, 0.2f, ws);
   std::uint64_t loss_bits;
   std::memcpy(&loss_bits, &stats.loss, sizeof(loss_bits));
   EXPECT_EQ(loss_bits, 0x3ffcb4a453333333ull);
@@ -172,15 +166,15 @@ TEST(DeepMlp, OneHiddenLayerBitIdenticalToMlpModel) {
   EXPECT_EQ(net.step_memory_bytes(64, 7.0), 27328u);
 }
 
-TEST(DeepMlp, ForwardLossAllocatesNoGradientBuffers) {
+TEST(Model, ForwardLossAllocatesNoGradientBuffers) {
   // Evaluation runs forward_loss only; the H x C gradient buffers stay
   // unallocated until a training step needs them.
   util::Rng rng(13);
-  DeepMlp net(deep_config({8, 4}));
+  Model net = deep_model({8, 4});
   net.init(rng);
   const auto x = batch_x(5, 24, rng);
   const auto y = batch_y(5, 6, rng);
-  DeepWorkspace ws;
+  ModelWorkspace ws;
   net.forward_loss(x, y, ws);
   EXPECT_TRUE(ws.grad_w.empty());
   EXPECT_TRUE(ws.grad_b.empty());
@@ -191,7 +185,7 @@ TEST(DeepMlp, ForwardLossAllocatesNoGradientBuffers) {
   EXPECT_EQ(ws.grad_w.size(), 2u);
 }
 
-TEST(DeepMlp, GradientCheckTwoHiddenLayers) {
+TEST(Model, GradientCheckTwoHiddenLayers) {
   util::Rng rng(5);
   const auto x = batch_x(3, 24, rng);
   const auto y = batch_y(3, 6, rng);
@@ -200,29 +194,29 @@ TEST(DeepMlp, GradientCheckTwoHiddenLayers) {
   // with tiny lr; loss must not increase (first-order descent property),
   // repeated across several random restarts.
   for (int restart = 0; restart < 5; ++restart) {
-    DeepMlp fresh(deep_config({5, 4}));
+    Model fresh = deep_model({5, 4});
     util::Rng r2(100 + restart);
     fresh.init(r2);
-    const auto ws = fresh.make_workspace();
-    const double before = fresh.forward_loss(x, y, *ws);
-    fresh.train_step(x, y, 1e-3f, *ws);
-    EXPECT_LE(fresh.forward_loss(x, y, *ws), before + 1e-6) << restart;
+    ModelWorkspace ws;
+    const double before = fresh.forward_loss(x, y, ws);
+    fresh.train_step(x, y, 1e-3f, ws);
+    EXPECT_LE(fresh.forward_loss(x, y, ws), before + 1e-6) << restart;
   }
 }
 
-TEST(DeepMlp, UntouchedSparseRowsUnchanged) {
+TEST(Model, UntouchedSparseRowsUnchanged) {
   util::Rng rng(6);
-  DeepMlp net(deep_config({8}));
+  Model net = deep_model({8});
   net.init(rng);
   sparse::CsrBuilder bx(24);
   bx.add_row({{3, 1.0f}});
   const auto x = bx.build();
   const auto y = batch_y(1, 6, rng);
   const auto before = net.weights(0);
-  const auto ws = net.make_workspace();
-  net.train_step(x, y, 0.5f, *ws);
+  ModelWorkspace ws;
+  net.train_step(x, y, 0.5f, ws);
   // The touched-row key must report exactly the batch's feature rows.
-  const auto touched = ws->touched_input_rows();
+  const auto touched = ws.grad_w1.rows();
   ASSERT_EQ(touched.size(), 1u);
   EXPECT_EQ(touched[0], 3u);
   for (std::size_t f = 0; f < 24; ++f) {
@@ -233,71 +227,64 @@ TEST(DeepMlp, UntouchedSparseRowsUnchanged) {
   }
 }
 
-TEST(DeepMlp, ThreadedKernelsBitIdenticalToSerial) {
+TEST(Model, ThreadedKernelsBitIdenticalToSerial) {
   // Same model + batch trained with the serial context and with a 4-worker
   // pool must produce bit-identical parameters (kernels partition output
   // rows; the accumulation order per output element never changes).
   util::Rng rng(21);
-  DeepMlp serial(deep_config({12, 8}));
+  Model serial = deep_model({12, 8});
   serial.init(rng);
-  const auto threaded_model = serial.clone();
+  Model threaded_model = serial;
   const auto x = batch_x(16, 24, rng);
   const auto y = batch_y(16, 6, rng);
 
-  const auto sws = serial.make_workspace();
-  for (int i = 0; i < 5; ++i) serial.train_step(x, y, 0.2f, *sws);
+  ModelWorkspace sws;
+  for (int i = 0; i < 5; ++i) serial.train_step(x, y, 0.2f, sws);
 
   util::ThreadPool pool(4);
-  const auto tws = threaded_model->make_workspace();
-  tws->ctx = kernels::Context{&pool, 4, /*serial_grain=*/1};
-  for (int i = 0; i < 5; ++i) threaded_model->train_step(x, y, 0.2f, *tws);
+  ModelWorkspace tws;
+  tws.ctx = kernels::Context{&pool, 4, /*serial_grain=*/1};
+  for (int i = 0; i < 5; ++i) threaded_model.train_step(x, y, 0.2f, tws);
 
-  EXPECT_EQ(serial.to_flat(), threaded_model->to_flat());
+  EXPECT_EQ(serial.to_flat(), threaded_model.to_flat());
 }
 
-TEST(DeepMlp, TrainsOnSyntheticDataset) {
+TEST(Model, TrainsOnSyntheticDataset) {
   auto dcfg = data::tiny_profile();
   dcfg.num_train = 1200;
   dcfg.num_test = 300;
   const auto ds = data::generate_xml_dataset(dcfg);
-  DeepMlpConfig cfg;
-  cfg.num_features = ds.train.features.cols();
-  cfg.hidden = {32, 16};
-  cfg.num_classes = ds.train.labels.cols();
   util::Rng rng(11);
-  DeepMlp net(cfg);
+  Model net(ds.train.features.cols(), {32, 16}, ds.train.labels.cols());
   net.init(rng);
 
   const double before = evaluate(net, ds.test, 200).top1;
-  const auto ws = net.make_workspace();
+  ModelWorkspace ws;
   for (int epoch = 0; epoch < 3; ++epoch) {
     for (std::size_t b = 0; b + 64 <= ds.train.num_samples(); b += 64) {
       const auto x = ds.train.features.slice_rows(b, b + 64);
       const auto y = ds.train.labels.slice_rows(b, b + 64);
-      net.train_step(x, y, 0.3f, *ws);
+      net.train_step(x, y, 0.3f, ws);
     }
   }
   EXPECT_GT(evaluate(net, ds.test, 200).top1, before + 0.3);
 }
 
-TEST(DeepMlp, L2NormPerParameterPositive) {
+TEST(Model, L2NormPerParameterPositive) {
   util::Rng rng(12);
-  DeepMlp net(deep_config({8, 4}));
+  Model net = deep_model({8, 4});
   net.init(rng);
   EXPECT_GT(net.l2_norm_per_parameter(), 0.0);
 }
 
 TEST(ModelFactory, BuildsAnyDepthAndValidates) {
-  const std::size_t hidden1[] = {16};
-  const std::size_t hidden2[] = {16, 8};
-  const auto mlp = make_model(24, hidden1, 6);
-  EXPECT_EQ(mlp->info().hidden, (std::vector<std::size_t>{16}));
-  const auto deep = make_model(24, hidden2, 6);
-  EXPECT_EQ(deep->info().hidden, (std::vector<std::size_t>{16, 8}));
+  const Model mlp(24, {16}, 6);
+  EXPECT_EQ(mlp.info().hidden, (std::vector<std::size_t>{16}));
+  const Model deep(24, {16, 8}, 6);
+  EXPECT_EQ(deep.info().hidden, (std::vector<std::size_t>{16, 8}));
 
-  EXPECT_THROW(make_model(24, {}, 6), std::invalid_argument);
-  const std::size_t zero[] = {16, 0};
-  EXPECT_THROW(make_model(24, zero, 6), std::invalid_argument);
+  EXPECT_THROW(Model(24, {}, 6), std::invalid_argument);
+  EXPECT_THROW(Model(24, {16, 0}, 6), std::invalid_argument);
 }
 
 }  // namespace

@@ -858,11 +858,11 @@ void expect_shape_rejected(core::AdaptiveSgdTrainer& source,
                            std::span<const std::size_t> hidden,
                            std::size_t classes, const std::string& got,
                            const std::string& want) {
-  const auto impostor = nn::make_model(features, hidden, classes);
-  ASSERT_EQ(impostor->num_parameters(),
+  const nn::Model impostor(features, {hidden.begin(), hidden.end()}, classes);
+  ASSERT_EQ(impostor.num_parameters(),
             target.runtime().global_model().num_parameters());
   std::ostringstream blob(std::ios::binary);
-  nn::save_model(blob, *impostor);
+  nn::save_model(blob, impostor);
   auto ckpt = fault::capture_checkpoint(source);
   ckpt.global_blob = blob.str();
   ckpt.prev_global_blob = blob.str();

@@ -254,15 +254,14 @@ TEST(ParallelKernels, ThreadedSgdStepBitIdenticalToSerial) {
   util::Rng rng(47);
   constexpr std::size_t kFeatures = 80;
   constexpr std::size_t kClasses = 12;
-  const std::size_t hidden[] = {16};
-  const auto serial_model = nn::make_model(kFeatures, hidden, kClasses);
-  const auto threaded_model = nn::make_model(kFeatures, hidden, kClasses);
-  serial_model->init(rng);
-  threaded_model->from_flat(serial_model->to_flat());
+  nn::Model serial_model(kFeatures, {16}, kClasses);
+  nn::Model threaded_model(kFeatures, {16}, kClasses);
+  serial_model.init(rng);
+  threaded_model.from_flat(serial_model.to_flat());
 
-  const auto ws_serial = serial_model->make_workspace();
-  const auto ws_threaded = threaded_model->make_workspace();
-  ws_threaded->ctx = eager_ctx(pool, 4);
+  nn::ModelWorkspace ws_serial;
+  nn::ModelWorkspace ws_threaded;
+  ws_threaded.ctx = eager_ctx(pool, 4);
 
   util::Rng data_rng(48);
   for (int step = 0; step < 5; ++step) {
@@ -274,12 +273,11 @@ TEST(ParallelKernels, ThreadedSgdStepBitIdenticalToSerial) {
           {static_cast<std::uint32_t>(data_rng.next_below(kClasses))});
     }
     const auto y = yb.build();
-    const auto sa = serial_model->train_step(x, y, 0.1f, *ws_serial, 0.01f);
-    const auto sb =
-        threaded_model->train_step(x, y, 0.1f, *ws_threaded, 0.01f);
+    const auto sa = serial_model.train_step(x, y, 0.1f, ws_serial, 0.01f);
+    const auto sb = threaded_model.train_step(x, y, 0.1f, ws_threaded, 0.01f);
     EXPECT_EQ(sa.loss, sb.loss);
   }
-  EXPECT_EQ(serial_model->to_flat(), threaded_model->to_flat());
+  EXPECT_EQ(serial_model.to_flat(), threaded_model.to_flat());
 }
 
 TEST(ParallelKernels, BitmapKeysMatchSortUnique) {

@@ -1,4 +1,4 @@
-// The model-polymorphic training stack, end to end: DeepMlp gradients
+// The whole training stack on nn::Model, end to end: gradients
 // against central finite differences, and the deep model through the real
 // multi-GPU adaptive schedule — threaded bit-identical to inline, delta
 // merge bit-identical to the dense oracle, and the one-hidden-layer model
@@ -14,7 +14,6 @@
 #include "core/adaptive_sgd.h"
 #include "core/runtime.h"
 #include "data/synthetic.h"
-#include "nn/deep_mlp.h"
 #include "nn/model.h"
 #include "util/rng.h"
 
@@ -62,16 +61,16 @@ sparse::CsrMatrix batch_y(std::size_t rows, std::size_t classes,
 
 // Extracts the analytic gradient through the public Model API only:
 // apply_gradients with lr=1 subtracts exactly the gradient, so
-// g = flat(before) - flat(after) on a throwaway clone.
+// g = flat(before) - flat(after) on a throwaway copy.
 std::vector<double> analytic_gradient(const nn::Model& model,
                                       const sparse::CsrMatrix& x,
                                       const sparse::CsrMatrix& y) {
-  const auto probe = model.clone();
-  const auto ws = probe->make_workspace();
-  probe->compute_gradients(x, y, *ws);
-  const auto before = probe->to_flat();
-  probe->apply_gradients(*ws, 1.0f);
-  const auto after = probe->to_flat();
+  nn::Model probe = model;
+  nn::ModelWorkspace ws;
+  probe.compute_gradients(x, y, ws);
+  const auto before = probe.to_flat();
+  probe.apply_gradients(ws, 1.0f);
+  const auto after = probe.to_flat();
   std::vector<double> g(before.size());
   for (std::size_t i = 0; i < g.size(); ++i) {
     g[i] = static_cast<double>(before[i]) - static_cast<double>(after[i]);
@@ -79,12 +78,8 @@ std::vector<double> analytic_gradient(const nn::Model& model,
   return g;
 }
 
-TEST(DeepMlpGradients, MatchCentralFiniteDifferences) {
-  nn::DeepMlpConfig cfg;
-  cfg.num_features = 12;
-  cfg.hidden = {6, 5};
-  cfg.num_classes = 4;
-  nn::DeepMlp model(cfg);
+TEST(ModelGradients, MatchCentralFiniteDifferences) {
+  nn::Model model(12, {6, 5}, 4);
   util::Rng rng(17);
   model.init(rng);
 
@@ -94,27 +89,27 @@ TEST(DeepMlpGradients, MatchCentralFiniteDifferences) {
 
   const auto g = analytic_gradient(model, x, y);
   const auto theta = model.to_flat();
-  const auto ws = model.make_workspace();
+  nn::ModelWorkspace ws;
   const float eps = 1e-2f;
 
   // Central differences over every parameter of the (small) model. The
   // check must also catch a gradient that is right in magnitude but wired
   // to the wrong layer, so no sampling.
-  nn::DeepMlp probe(cfg);
+  nn::Model probe(12, {6, 5}, 4);
   std::size_t checked = 0;
   for (std::size_t i = 0; i < theta.size(); ++i) {
     auto perturbed = theta;
     perturbed[i] = theta[i] + eps;
     probe.from_flat(perturbed);
-    const double up = probe.forward_loss(x, y, *ws);
+    const double up = probe.forward_loss(x, y, ws);
     perturbed[i] = theta[i] - eps;
     probe.from_flat(perturbed);
-    const double down = probe.forward_loss(x, y, *ws);
+    const double down = probe.forward_loss(x, y, ws);
     const double numeric = (up - down) / (2.0 * static_cast<double>(eps));
     EXPECT_NEAR(numeric, g[i], 1e-3 + 0.02 * std::abs(g[i])) << "param " << i;
     ++checked;
   }
-  EXPECT_EQ(checked, cfg.num_parameters());
+  EXPECT_EQ(checked, model.num_parameters());
 }
 
 // ---- Deep model through the real multi-GPU adaptive schedule -------------

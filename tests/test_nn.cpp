@@ -1,6 +1,6 @@
 // The one-hidden-layer sparse MLP (the paper's 3-layer model): parameters,
 // training steps and evaluation.
-#include "nn/deep_mlp.h"
+#include "nn/model.h"
 
 #include <gtest/gtest.h>
 
@@ -15,15 +15,11 @@
 namespace hetero::nn {
 namespace {
 
+constexpr std::size_t kFeatures = 12;
 constexpr std::size_t kHidden = 5;
+constexpr std::size_t kClasses = 7;
 
-DeepMlpConfig small_config() {
-  DeepMlpConfig cfg;
-  cfg.num_features = 12;
-  cfg.hidden = {kHidden};
-  cfg.num_classes = 7;
-  return cfg;
-}
+Model small_model() { return Model(kFeatures, {kHidden}, kClasses); }
 
 sparse::CsrMatrix make_batch_x(std::size_t rows, std::size_t cols,
                                util::Rng& rng, double density = 0.3) {
@@ -59,34 +55,32 @@ sparse::CsrMatrix make_batch_y(std::size_t rows, std::size_t classes,
 }
 
 TEST(OneHiddenMlp, ParameterCount) {
-  const auto cfg = small_config();
-  EXPECT_EQ(cfg.num_parameters(), 12u * 5 + 5 + 5 * 7 + 7);
-  DeepMlp m(cfg);
-  EXPECT_EQ(m.num_parameters(), cfg.num_parameters());
-  EXPECT_EQ(m.num_bytes(), cfg.num_parameters() * sizeof(float));
+  const Model m = small_model();
+  EXPECT_EQ(m.num_parameters(), 12u * 5 + 5 + 5 * 7 + 7);
+  EXPECT_EQ(m.num_bytes(), m.num_parameters() * sizeof(float));
 }
 
 TEST(OneHiddenMlp, FlatRoundTrip) {
   util::Rng rng(1);
-  DeepMlp a(small_config());
+  Model a = small_model();
   a.init(rng);
   const auto flat = a.to_flat();
   ASSERT_EQ(flat.size(), a.num_parameters());
-  DeepMlp b(small_config());
+  Model b = small_model();
   b.from_flat(flat);
   EXPECT_DOUBLE_EQ(a.squared_distance(b), 0.0);
 }
 
 TEST(OneHiddenMlp, InitIsSeedDeterministic) {
   util::Rng r1(5), r2(5);
-  DeepMlp a(small_config()), b(small_config());
+  Model a = small_model(), b = small_model();
   a.init(r1);
   b.init(r2);
   EXPECT_DOUBLE_EQ(a.squared_distance(b), 0.0);
 }
 
 TEST(OneHiddenMlp, L2NormPerParameter) {
-  DeepMlp m(small_config());
+  Model m = small_model();
   auto flat = m.to_flat();
   std::fill(flat.begin(), flat.end(), 2.0f);
   m.from_flat(flat);
@@ -98,7 +92,7 @@ TEST(OneHiddenMlp, L2NormPerParameter) {
 
 TEST(OneHiddenMlp, BiasesStartZero) {
   util::Rng rng(2);
-  DeepMlp m(small_config());
+  Model m = small_model();
   m.init(rng);
   for (float b : m.biases(0)) EXPECT_EQ(b, 0.0f);
   for (float b : m.biases(1)) EXPECT_EQ(b, 0.0f);
@@ -108,14 +102,13 @@ TEST(OneHiddenMlp, BiasesStartZero) {
 // Perturb each of a sample of parameters and compare dL/dw to the computed
 // gradient.
 TEST(TrainStep, GradientsMatchFiniteDifferences) {
-  const auto cfg = small_config();
   util::Rng rng(3);
-  DeepMlp model(cfg);
+  Model model = small_model();
   model.init(rng);
-  const auto x = make_batch_x(4, cfg.num_features, rng, 0.4);
-  const auto y = make_batch_y(4, cfg.num_classes, rng);
+  const auto x = make_batch_x(4, kFeatures, rng, 0.4);
+  const auto y = make_batch_y(4, kClasses, rng);
 
-  DeepWorkspace ws;
+  ModelWorkspace ws;
   model.compute_gradients(x, y, ws);
 
   // Gather analytic gradients in flat order (W1, b1, W2, b2). The layer-1
@@ -133,7 +126,7 @@ TEST(TrainStep, GradientsMatchFiniteDifferences) {
 
   auto flat = model.to_flat();
   const double eps = 1e-3;
-  DeepWorkspace ws2;
+  ModelWorkspace ws2;
   // Check a deterministic sample of parameters across all four tensors.
   for (std::size_t i = 0; i < flat.size(); i += 7) {
     const float saved = flat[i];
@@ -152,13 +145,12 @@ TEST(TrainStep, GradientsMatchFiniteDifferences) {
 }
 
 TEST(TrainStep, LossDecreasesOnRepeatedSteps) {
-  const auto cfg = small_config();
   util::Rng rng(4);
-  DeepMlp model(cfg);
+  Model model = small_model();
   model.init(rng);
-  const auto x = make_batch_x(8, cfg.num_features, rng);
-  const auto y = make_batch_y(8, cfg.num_classes, rng);
-  DeepWorkspace ws;
+  const auto x = make_batch_x(8, kFeatures, rng);
+  const auto y = make_batch_y(8, kClasses, rng);
+  ModelWorkspace ws;
   const double initial = model.forward_loss(x, y, ws);
   for (int i = 0; i < 100; ++i) model.train_step(x, y, 0.2f, ws);
   const double after = model.forward_loss(x, y, ws);
@@ -168,14 +160,13 @@ TEST(TrainStep, LossDecreasesOnRepeatedSteps) {
 }
 
 TEST(TrainStep, SgdStepEqualsComputePlusApply) {
-  const auto cfg = small_config();
   util::Rng rng(5);
-  DeepMlp a(cfg), b(cfg);
+  Model a = small_model(), b = small_model();
   a.init(rng);
   b.from_flat(a.to_flat());
-  const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto y = make_batch_y(4, cfg.num_classes, rng);
-  DeepWorkspace wa, wb;
+  const auto x = make_batch_x(4, kFeatures, rng);
+  const auto y = make_batch_y(4, kClasses, rng);
+  ModelWorkspace wa, wb;
   a.train_step(x, y, 0.1f, wa);
   b.compute_gradients(x, y, wb);
   b.apply_gradients(wb, 0.1f);
@@ -183,14 +174,13 @@ TEST(TrainStep, SgdStepEqualsComputePlusApply) {
 }
 
 TEST(TrainStep, ComputeGradientsDoesNotTouchModel) {
-  const auto cfg = small_config();
   util::Rng rng(6);
-  DeepMlp model(cfg);
+  Model model = small_model();
   model.init(rng);
   const auto before = model.to_flat();
-  const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto y = make_batch_y(4, cfg.num_classes, rng);
-  DeepWorkspace ws;
+  const auto x = make_batch_x(4, kFeatures, rng);
+  const auto y = make_batch_y(4, kClasses, rng);
+  ModelWorkspace ws;
   model.compute_gradients(x, y, ws);
   EXPECT_EQ(model.to_flat(), before);
 }
@@ -198,19 +188,18 @@ TEST(TrainStep, ComputeGradientsDoesNotTouchModel) {
 TEST(TrainStep, UntouchedW1RowsKeepValues) {
   // Sparse update property: feature rows absent from the batch must not
   // change (this is what makes sparse training cheap).
-  const auto cfg = small_config();
   util::Rng rng(7);
-  DeepMlp model(cfg);
+  Model model = small_model();
   model.init(rng);
-  sparse::CsrBuilder bx(cfg.num_features);
+  sparse::CsrBuilder bx(kFeatures);
   bx.add_row({{3, 1.0f}, {5, 0.5f}});
   const auto x = bx.build();
-  const auto y = make_batch_y(1, cfg.num_classes, rng);
+  const auto y = make_batch_y(1, kClasses, rng);
   const auto before = model.weights(0);
-  DeepWorkspace ws;
+  ModelWorkspace ws;
   model.train_step(x, y, 0.5f, ws);
   bool touched_changed = false;
-  for (std::size_t f = 0; f < cfg.num_features; ++f) {
+  for (std::size_t f = 0; f < kFeatures; ++f) {
     for (std::size_t h = 0; h < kHidden; ++h) {
       if (f == 3 || f == 5) {
         touched_changed |= (model.weights(0)(f, h) != before(f, h));
@@ -224,13 +213,12 @@ TEST(TrainStep, UntouchedW1RowsKeepValues) {
 }
 
 TEST(TrainStep, StatsReportBatchShape) {
-  const auto cfg = small_config();
   util::Rng rng(8);
-  DeepMlp model(cfg);
+  Model model = small_model();
   model.init(rng);
-  const auto x = make_batch_x(6, cfg.num_features, rng);
-  const auto y = make_batch_y(6, cfg.num_classes, rng);
-  DeepWorkspace ws;
+  const auto x = make_batch_x(6, kFeatures, rng);
+  const auto y = make_batch_y(6, kClasses, rng);
+  ModelWorkspace ws;
   const auto stats = model.train_step(x, y, 0.1f, ws);
   EXPECT_EQ(stats.batch_size, 6u);
   EXPECT_EQ(stats.batch_nnz, x.nnz());
@@ -238,10 +226,9 @@ TEST(TrainStep, StatsReportBatchShape) {
 }
 
 TEST(TrainStep, KernelDescriptorsCoverPipeline) {
-  const auto cfg = small_config();
   util::Rng rng(9);
-  const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto kernels = DeepMlp(cfg).step_kernels(x);
+  const auto x = make_batch_x(4, kFeatures, rng);
+  const auto kernels = small_model().step_kernels(x);
   EXPECT_GE(kernels.size(), 10u);
   double total_flops = 0.0;
   int sparse_count = 0;
@@ -256,11 +243,10 @@ TEST(TrainStep, KernelDescriptorsCoverPipeline) {
 }
 
 TEST(TrainStep, KernelFlopsScaleWithNnz) {
-  const auto cfg = small_config();
-  sparse::CsrBuilder b1(cfg.num_features), b2(cfg.num_features);
+  sparse::CsrBuilder b1(kFeatures), b2(kFeatures);
   b1.add_row({{0, 1.0f}});
   b2.add_row({{0, 1.0f}, {1, 1.0f}, {2, 1.0f}, {3, 1.0f}});
-  const DeepMlp model(cfg);
+  const Model model = small_model();
   const auto k1 = model.step_kernels(b1.build());
   const auto k2 = model.step_kernels(b2.build());
   double f1 = 0, f2 = 0;
@@ -272,7 +258,7 @@ TEST(TrainStep, KernelFlopsScaleWithNnz) {
 }
 
 TEST(TrainStep, MemoryEstimateMonotoneInBatch) {
-  const DeepMlp model(small_config());
+  const Model model = small_model();
   EXPECT_LT(model.step_memory_bytes(16, 10.0), model.step_memory_bytes(64, 10.0));
   EXPECT_LT(model.step_memory_bytes(16, 10.0), model.step_memory_bytes(16, 40.0));
 }
@@ -280,11 +266,7 @@ TEST(TrainStep, MemoryEstimateMonotoneInBatch) {
 TEST(Evaluate, PerfectModelScoresFullAccuracy) {
   // Construct a model that maps feature f deterministically to class
   // f % classes, and a test set consistent with it.
-  DeepMlpConfig cfg;
-  cfg.num_features = 8;
-  cfg.hidden = {8};
-  cfg.num_classes = 4;
-  DeepMlp model(cfg);
+  Model model(8, {8}, 4);
   // W1 = identity-ish: feature f activates hidden f.
   for (std::size_t f = 0; f < 8; ++f) model.weights(0)(f, f) = 1.0f;
   // W2: hidden h votes for class h % 4.
@@ -304,14 +286,13 @@ TEST(Evaluate, PerfectModelScoresFullAccuracy) {
 }
 
 TEST(TrainStep, WeightDecayShrinksParameters) {
-  const auto cfg = small_config();
   util::Rng rng(21);
-  DeepMlp with_decay(cfg), without(cfg);
+  Model with_decay = small_model(), without = small_model();
   with_decay.init(rng);
   without.from_flat(with_decay.to_flat());
-  const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto y = make_batch_y(4, cfg.num_classes, rng);
-  DeepWorkspace wa, wb;
+  const auto x = make_batch_x(4, kFeatures, rng);
+  const auto y = make_batch_y(4, kClasses, rng);
+  ModelWorkspace wa, wb;
   for (int i = 0; i < 10; ++i) {
     with_decay.train_step(x, y, 0.1f, wa, /*weight_decay=*/0.1f);
     without.train_step(x, y, 0.1f, wb);
@@ -321,30 +302,28 @@ TEST(TrainStep, WeightDecayShrinksParameters) {
 }
 
 TEST(TrainStep, ZeroWeightDecayIsNoOp) {
-  const auto cfg = small_config();
   util::Rng rng(22);
-  DeepMlp a(cfg), b(cfg);
+  Model a = small_model(), b = small_model();
   a.init(rng);
   b.from_flat(a.to_flat());
-  const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto y = make_batch_y(4, cfg.num_classes, rng);
-  DeepWorkspace wa, wb;
+  const auto x = make_batch_x(4, kFeatures, rng);
+  const auto y = make_batch_y(4, kClasses, rng);
+  ModelWorkspace wa, wb;
   a.train_step(x, y, 0.1f, wa, 0.0f);
   b.train_step(x, y, 0.1f, wb);
   EXPECT_DOUBLE_EQ(a.squared_distance(b), 0.0);
 }
 
 TEST(TrainStep, WeightDecayOnlyTouchedW1Rows) {
-  const auto cfg = small_config();
   util::Rng rng(23);
-  DeepMlp model(cfg);
+  Model model = small_model();
   model.init(rng);
-  sparse::CsrBuilder bx(cfg.num_features);
+  sparse::CsrBuilder bx(kFeatures);
   bx.add_row({{2, 1.0f}});
   const auto x = bx.build();
-  const auto y = make_batch_y(1, cfg.num_classes, rng);
+  const auto y = make_batch_y(1, kClasses, rng);
   const auto before = model.weights(0);
-  DeepWorkspace ws;
+  ModelWorkspace ws;
   model.train_step(x, y, 0.1f, ws, 0.5f);
   // Untouched rows keep their exact values even with decay enabled.
   for (std::size_t h = 0; h < kHidden; ++h) {
@@ -353,12 +332,11 @@ TEST(TrainStep, WeightDecayOnlyTouchedW1Rows) {
 }
 
 TEST(Evaluate, PrecisionAtKConsistency) {
-  const auto cfg = small_config();
   util::Rng rng(24);
-  DeepMlp model(cfg);
+  Model model = small_model();
   model.init(rng);
-  sparse::LabeledDataset test{make_batch_x(60, cfg.num_features, rng),
-                              make_batch_y(60, cfg.num_classes, rng, 3)};
+  sparse::LabeledDataset test{make_batch_x(60, kFeatures, rng),
+                              make_batch_y(60, kClasses, rng, 3)};
   const auto r = evaluate(model, test);
   // P@1 == top1 by definition; precision can only dilute as k grows past
   // the number of true labels (3 here), so P@5 <= P@3 * (3/5)... at least
@@ -372,11 +350,7 @@ TEST(Evaluate, PrecisionAtKConsistency) {
 TEST(Evaluate, PerfectModelPrecisionAtK) {
   // One true label per sample, perfectly ranked: P@1 = 1, P@3 = 1/3,
   // P@5 = 1/5.
-  DeepMlpConfig cfg;
-  cfg.num_features = 4;
-  cfg.hidden = {4};
-  cfg.num_classes = 8;
-  DeepMlp model(cfg);
+  Model model(4, {4}, 8);
   for (std::size_t f = 0; f < 4; ++f) model.weights(0)(f, f) = 1.0f;
   for (std::size_t h = 0; h < 4; ++h) model.weights(1)(h, h) = 5.0f;
   sparse::CsrBuilder fx(4);
@@ -393,12 +367,11 @@ TEST(Evaluate, PerfectModelPrecisionAtK) {
 }
 
 TEST(Evaluate, Top5AtLeastTop1) {
-  const auto cfg = small_config();
   util::Rng rng(10);
-  DeepMlp model(cfg);
+  Model model = small_model();
   model.init(rng);
-  sparse::LabeledDataset test{make_batch_x(50, cfg.num_features, rng),
-                              make_batch_y(50, cfg.num_classes, rng)};
+  sparse::LabeledDataset test{make_batch_x(50, kFeatures, rng),
+                              make_batch_y(50, kClasses, rng)};
   const auto result = evaluate(model, test);
   EXPECT_GE(result.top5, result.top1);
   EXPECT_LE(result.top5, 1.0);
@@ -407,24 +380,23 @@ TEST(Evaluate, Top5AtLeastTop1) {
 // Differential test: the partial-selection top-5 evaluator against a naive
 // full-sort reference, over random models and datasets.
 TEST(Evaluate, MatchesFullSortReference) {
-  const auto cfg = small_config();
   for (std::uint64_t seed = 100; seed < 108; ++seed) {
     util::Rng rng(seed);
-    DeepMlp model(cfg);
+    Model model = small_model();
     model.init(rng);
-    sparse::LabeledDataset test{make_batch_x(40, cfg.num_features, rng),
-                                make_batch_y(40, cfg.num_classes, rng, 2)};
+    sparse::LabeledDataset test{make_batch_x(40, kFeatures, rng),
+                                make_batch_y(40, kClasses, rng, 2)};
     const auto fast = evaluate(model, test);
 
     // Reference: full forward + full sort per row.
-    DeepWorkspace ws;
+    ModelWorkspace ws;
     std::size_t top1 = 0, top5 = 0, p3 = 0, p5 = 0;
     for (std::size_t r = 0; r < 40; ++r) {
       const auto x = test.features.slice_rows(r, r + 1);
       const auto y = test.labels.slice_rows(r, r + 1);
       model.forward_loss(x, y, ws);
       std::vector<std::pair<float, std::size_t>> scored;
-      for (std::size_t c = 0; c < cfg.num_classes; ++c) {
+      for (std::size_t c = 0; c < kClasses; ++c) {
         scored.push_back({ws.probs(0, c), c});
       }
       std::stable_sort(scored.begin(), scored.end(),
@@ -453,25 +425,21 @@ TEST(Evaluate, MatchesFullSortReference) {
 }
 
 TEST(Evaluate, ThreadedWorkspaceMatchesSerialBits) {
-  DeepMlpConfig cfg;
-  cfg.num_features = 40;
-  cfg.hidden = {8};
-  cfg.num_classes = 30;
   util::Rng rng(31);
-  DeepMlp model(cfg);
+  Model model(40, {8}, 30);
   model.init(rng);
   // 90 rows in batches of 32: the last batch (26 rows) splits unevenly.
-  sparse::LabeledDataset test{make_batch_x(90, cfg.num_features, rng),
-                              make_batch_y(90, cfg.num_classes, rng, 3)};
+  sparse::LabeledDataset test{make_batch_x(90, 40, rng),
+                              make_batch_y(90, 30, rng, 3)};
   const auto serial = evaluate(model, test, 0, 32);
 
   util::ThreadPool pool(4);
-  const auto ws = model.make_workspace();
-  ws->ctx = kernels::Context{&pool, 4};
-  ws->ctx.serial_grain = 0;
+  ModelWorkspace ws;
+  ws.ctx = kernels::Context{&pool, 4};
+  ws.ctx.serial_grain = 0;
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (int rep = 0; rep < 2; ++rep) {  // the workspace is reused
-    const auto threaded = evaluate(model, test, *ws, 0, 32);
+    const auto threaded = evaluate(model, test, ws, 0, 32);
     EXPECT_EQ(bits(threaded.top1), bits(serial.top1));
     EXPECT_EQ(bits(threaded.top5), bits(serial.top5));
     EXPECT_EQ(bits(threaded.p_at_3), bits(serial.p_at_3));
@@ -482,12 +450,11 @@ TEST(Evaluate, ThreadedWorkspaceMatchesSerialBits) {
 }
 
 TEST(Evaluate, MaxSamplesLimits) {
-  const auto cfg = small_config();
   util::Rng rng(11);
-  DeepMlp model(cfg);
+  Model model = small_model();
   model.init(rng);
-  sparse::LabeledDataset test{make_batch_x(50, cfg.num_features, rng),
-                              make_batch_y(50, cfg.num_classes, rng)};
+  sparse::LabeledDataset test{make_batch_x(50, kFeatures, rng),
+                              make_batch_y(50, kClasses, rng)};
   EXPECT_EQ(evaluate(model, test, 10).samples, 10u);
   EXPECT_EQ(evaluate(model, test, 0).samples, 50u);
   EXPECT_EQ(evaluate(model, test, 500).samples, 50u);

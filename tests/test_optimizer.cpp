@@ -27,10 +27,9 @@ constexpr std::size_t kFeatures = 24;
 constexpr std::size_t kHidden = 17;  // ragged against every SIMD lane width
 constexpr std::size_t kClasses = 9;
 
-std::unique_ptr<Model> small_model(util::Rng& rng) {
-  const std::size_t hidden[] = {kHidden};
-  auto m = make_model(kFeatures, hidden, kClasses);
-  m->init(rng);
+Model small_model(util::Rng& rng) {
+  Model m(kFeatures, {kHidden}, kClasses);
+  m.init(rng);
   return m;
 }
 
@@ -102,11 +101,11 @@ TEST(OptimizerShapes, SlotsAlignWithSegments) {
   for (const auto& e : expected) {
     OptimizerConfig cfg;
     cfg.kind = e.kind;
-    auto opt = Optimizer::make(cfg, *model);
+    auto opt = Optimizer::make(cfg, model);
     EXPECT_EQ(opt->kind(), e.kind);
     EXPECT_EQ(opt->num_slots(), e.slots);
     EXPECT_EQ(opt->row_steps().size(), e.lazy ? kFeatures : 0u);
-    const auto segs = model->segment_views();
+    const auto segs = model.segment_views();
     for (std::size_t slot = 0; slot < opt->num_slots(); ++slot) {
       const auto views = opt->slot_views(slot);
       ASSERT_EQ(views.size(), segs.size());
@@ -122,24 +121,24 @@ TEST(OptimizerShapes, SlotsAlignWithSegments) {
 TEST(SgdOptimizer, BitIdenticalToApplyGradientsAndTrainStep) {
   util::Rng rng(2);
   auto a = small_model(rng);
-  auto b = a->clone();
-  auto c = a->clone();
-  auto opt = Optimizer::make({}, *a);
-  auto wa = a->make_workspace();
-  auto wb = b->make_workspace();
-  auto wc = c->make_workspace();
+  Model b = a;
+  Model c = a;
+  auto opt = Optimizer::make({}, a);
+  ModelWorkspace wa;
+  ModelWorkspace wb;
+  ModelWorkspace wc;
   util::Rng data_rng(3);
   for (int step = 0; step < 5; ++step) {
     const auto x = make_batch_x(4, data_rng);
     const auto y = make_batch_y(4, data_rng);
     const float wd = step % 2 == 0 ? 0.0f : 1e-3f;
-    a->compute_gradients(x, y, *wa);
-    opt->apply(*a, *wa, 0.2f, wd);
-    b->compute_gradients(x, y, *wb);
-    b->apply_gradients(*wb, 0.2f, wd);
-    c->train_step(x, y, 0.2f, *wc, wd);
-    expect_models_bit_equal(*a, *b, "sgd optimizer vs apply_gradients");
-    expect_models_bit_equal(*a, *c, "sgd optimizer vs fused train_step");
+    a.compute_gradients(x, y, wa);
+    opt->apply(a, wa, 0.2f, wd);
+    b.compute_gradients(x, y, wb);
+    b.apply_gradients(wb, 0.2f, wd);
+    c.train_step(x, y, 0.2f, wc, wd);
+    expect_models_bit_equal(a, b, "sgd optimizer vs apply_gradients");
+    expect_models_bit_equal(a, c, "sgd optimizer vs fused train_step");
   }
 }
 
@@ -170,8 +169,7 @@ struct AdamOracle {
     p.lr = lr;
     p.weight_decay = decoupled_ ? 0.0f : wd;
     p.keep = decoupled_ ? 1.0f - lr * wd : 1.0f;
-    const auto views = ws.gradient_views();
-    const auto& sg = *views.input;
+    const auto& sg = ws.grad_w1;
     const auto rows = sg.rows();
     for (std::size_t s = 0; s < rows.size(); ++s) {
       const std::size_t r = rows[s];
@@ -188,7 +186,7 @@ struct AdamOracle {
     pd.bias1 = bias(0.9, t);
     pd.bias2 = bias(0.999, t);
     for (std::size_t seg = 1; seg < segs.size(); ++seg) {
-      vk.adam_update(segs[seg].data(), views.dense[seg - 1].data(),
+      vk.adam_update(segs[seg].data(), ws.dense_gradient(seg).data(),
                      m_[seg].data(), v_[seg].data(), pd, segs[seg].size());
     }
   }
@@ -224,13 +222,13 @@ TEST(LazyAdam, MatchesDenseOracleOnTouchedRows) {
   for (const bool decoupled : {false, true}) {
     util::Rng rng(4);
     auto model = small_model(rng);
-    auto reference = model->clone();
+    Model reference = model;
     OptimizerConfig cfg;
     cfg.kind = decoupled ? OptimizerKind::kAdamW : OptimizerKind::kAdam;
-    auto opt = Optimizer::make(cfg, *model);
-    AdamOracle oracle(*reference, decoupled);
-    auto ws = model->make_workspace();
-    auto wr = reference->make_workspace();
+    auto opt = Optimizer::make(cfg, model);
+    AdamOracle oracle(reference, decoupled);
+    ModelWorkspace ws;
+    ModelWorkspace wr;
     util::Rng data_rng(5);
     for (int step = 0; step < 12; ++step) {
       // Sparse batches: most rows are skipped on most steps, so the lazy
@@ -238,11 +236,11 @@ TEST(LazyAdam, MatchesDenseOracleOnTouchedRows) {
       const auto x = make_batch_x(3, data_rng, 0.15);
       const auto y = make_batch_y(3, data_rng);
       const float wd = 1e-3f;
-      model->compute_gradients(x, y, *ws);
-      opt->apply(*model, *ws, 0.05f, wd);
-      reference->compute_gradients(x, y, *wr);
-      oracle.step(*reference, *wr, 0.05f, wd);
-      expect_models_bit_equal(*model, *reference,
+      model.compute_gradients(x, y, ws);
+      opt->apply(model, ws, 0.05f, wd);
+      reference.compute_gradients(x, y, wr);
+      oracle.step(reference, wr, 0.05f, wd);
+      expect_models_bit_equal(model, reference,
                               decoupled ? "adamw vs oracle" : "adam vs oracle");
       expect_state_matches_oracle(*opt, oracle, step);
     }
@@ -257,17 +255,17 @@ TEST(LazyAdam, KStepSkipCatchesUpExactly) {
   constexpr int kSkip = 7;
   util::Rng rng(6);
   auto model = small_model(rng);
-  auto opt = Optimizer::make({OptimizerKind::kAdam}, *model);
-  auto ws = model->make_workspace();
+  auto opt = Optimizer::make({OptimizerKind::kAdam}, model);
+  ModelWorkspace ws;
   util::Rng data_rng(7);
 
   const auto apply_once = [&](const sparse::CsrMatrix& x) {
     const auto y = make_batch_y(x.rows(), data_rng);
-    model->compute_gradients(x, y, *ws);
+    model.compute_gradients(x, y, ws);
     // Capture the gradient of kRow before apply (the optimizer does not
     // modify the workspace, but copy for clarity).
     std::vector<float> g;
-    const auto& sg = *ws->gradient_views().input;
+    const auto& sg = ws.grad_w1;
     const auto rows = sg.rows();
     for (std::size_t s = 0; s < rows.size(); ++s) {
       if (rows[s] == kRow) {
@@ -275,7 +273,7 @@ TEST(LazyAdam, KStepSkipCatchesUpExactly) {
         g.assign(vals.begin(), vals.end());
       }
     }
-    opt->apply(*model, *ws, 0.05f, 0.0f);
+    opt->apply(model, ws, 0.05f, 0.0f);
     return g;
   };
 
@@ -289,8 +287,8 @@ TEST(LazyAdam, KStepSkipCatchesUpExactly) {
                         opt->slot_views(0)[0].begin() + (kRow + 1) * kHidden);
   std::vector<float> v1(opt->slot_views(1)[0].begin() + kRow * kHidden,
                         opt->slot_views(1)[0].begin() + (kRow + 1) * kHidden);
-  std::vector<float> w1(model->segment_views()[0].begin() + kRow * kHidden,
-                        model->segment_views()[0].begin() +
+  std::vector<float> w1(model.segment_views()[0].begin() + kRow * kHidden,
+                        model.segment_views()[0].begin() +
                             (kRow + 1) * kHidden);
   for (int i = 0; i < kSkip; ++i) apply_once(batch_touching(others));
   EXPECT_EQ(opt->row_steps()[kRow], 1u);  // untouched: counter frozen
@@ -299,7 +297,7 @@ TEST(LazyAdam, KStepSkipCatchesUpExactly) {
                            opt->slot_views(0)[0].data() + kRow * kHidden,
                            kHidden * sizeof(float)));
   EXPECT_EQ(0, std::memcmp(w1.data(),
-                           model->segment_views()[0].data() + kRow * kHidden,
+                           model.segment_views()[0].data() + kRow * kHidden,
                            kHidden * sizeof(float)));
 
   const auto g2 = apply_once(batch_touching(only));
@@ -318,7 +316,7 @@ TEST(LazyAdam, KStepSkipCatchesUpExactly) {
   auto v = v1;
   vk.adam_update(w.data(), g2.data(), m.data(), v.data(), p, kHidden);
   EXPECT_EQ(0, std::memcmp(w.data(),
-                           model->segment_views()[0].data() + kRow * kHidden,
+                           model.segment_views()[0].data() + kRow * kHidden,
                            kHidden * sizeof(float)));
   EXPECT_EQ(0, std::memcmp(m.data(),
                            opt->slot_views(0)[0].data() + kRow * kHidden,
@@ -339,13 +337,13 @@ TEST(WeightDecay, AdamWDecoupledAdamAdagradCoupled) {
   const auto y = make_batch_y(4, data_rng);
 
   const auto run_one = [&](OptimizerKind kind, float wd) {
-    auto model = base->clone();
+    Model model = base;
     OptimizerConfig cfg;
     cfg.kind = kind;
-    auto opt = Optimizer::make(cfg, *model);
-    auto ws = model->make_workspace();
-    model->compute_gradients(x, y, *ws);
-    opt->apply(*model, *ws, 0.05f, wd);
+    auto opt = Optimizer::make(cfg, model);
+    ModelWorkspace ws;
+    model.compute_gradients(x, y, ws);
+    opt->apply(model, ws, 0.05f, wd);
     std::vector<std::vector<float>> state;
     for (std::size_t slot = 0; slot < opt->num_slots(); ++slot) {
       auto& flat = state.emplace_back();
@@ -353,7 +351,7 @@ TEST(WeightDecay, AdamWDecoupledAdamAdagradCoupled) {
         flat.insert(flat.end(), seg.begin(), seg.end());
       }
     }
-    return std::pair{model->to_flat(), state};
+    return std::pair{model.to_flat(), state};
   };
 
   const auto [w_adamw_wd, s_adamw_wd] = run_one(OptimizerKind::kAdamW, 0.1f);
@@ -385,17 +383,17 @@ TEST(WeightDecay, UntouchedRowsNeverDecay) {
     auto model = small_model(rng);
     OptimizerConfig cfg;
     cfg.kind = kind;
-    auto opt = Optimizer::make(cfg, *model);
-    auto ws = model->make_workspace();
+    auto opt = Optimizer::make(cfg, model);
+    ModelWorkspace ws;
     util::Rng data_rng(11);
     const std::uint32_t touched[] = {2, 4};
     const auto x = batch_touching(touched);
     const auto y = make_batch_y(x.rows(), data_rng);
-    const auto before = model->to_flat();
-    model->compute_gradients(x, y, *ws);
-    opt->apply(*model, *ws, 0.1f, 0.5f);
-    const auto after = model->to_flat();
-    const auto seg0 = model->segment_views()[0];
+    const auto before = model.to_flat();
+    model.compute_gradients(x, y, ws);
+    opt->apply(model, ws, 0.1f, 0.5f);
+    const auto after = model.to_flat();
+    const auto seg0 = model.segment_views()[0];
     for (std::size_t r = 0; r < kFeatures; ++r) {
       if (r == 2 || r == 4) continue;
       EXPECT_EQ(0, std::memcmp(before.data() + r * kHidden,
@@ -414,14 +412,14 @@ TEST(OptimizerReset, ZeroesAllState) {
                           OptimizerKind::kAdagrad}) {
     OptimizerConfig cfg;
     cfg.kind = kind;
-    auto opt = Optimizer::make(cfg, *model);
-    auto ws = model->make_workspace();
+    auto opt = Optimizer::make(cfg, model);
+    ModelWorkspace ws;
     util::Rng data_rng(13);
     for (int i = 0; i < 3; ++i) {
       const auto x = make_batch_x(4, data_rng);
       const auto y = make_batch_y(4, data_rng);
-      model->compute_gradients(x, y, *ws);
-      opt->apply(*model, *ws, 0.05f, 0.0f);
+      model.compute_gradients(x, y, ws);
+      opt->apply(model, ws, 0.05f, 0.0f);
     }
     EXPECT_GT(opt->step(), 0u);
     opt->reset_state();
@@ -455,7 +453,7 @@ TEST(OptimizerDeterminism, ThreadAndIsaBitIdentity) {
     // Reference: scalar ISA, serial workspace.
     util::Rng rng(14);
     auto ref_model = small_model(rng);
-    const auto init = ref_model->to_flat();
+    const auto init = ref_model.to_flat();
     OptimizerConfig cfg;
     cfg.kind = kind;
 
@@ -468,18 +466,18 @@ TEST(OptimizerDeterminism, ThreadAndIsaBitIdentity) {
 
     const auto run = [&](vec::Isa isa, std::size_t threads) {
       vec::set_isa(isa);
-      auto model = ref_model->clone();
-      model->from_flat(init);
-      auto opt = Optimizer::make(cfg, *model);
-      auto ws = model->make_workspace();
+      Model model = ref_model;
+      model.from_flat(init);
+      auto opt = Optimizer::make(cfg, model);
+      ModelWorkspace ws;
       util::ThreadPool pool(threads == 0 ? 1 : threads);
       if (threads > 0) {
-        ws->ctx = kernels::Context{&pool, threads};
-        ws->ctx.serial_grain = 0;  // parallelize even tiny shapes
+        ws.ctx = kernels::Context{&pool, threads};
+        ws.ctx.serial_grain = 0;  // parallelize even tiny shapes
       }
       for (std::size_t i = 0; i < xs.size(); ++i) {
-        model->compute_gradients(xs[i], ys[i], *ws);
-        opt->apply(*model, *ws, 0.05f, 1e-3f);
+        model.compute_gradients(xs[i], ys[i], ws);
+        opt->apply(model, ws, 0.05f, 1e-3f);
       }
       std::vector<float> state;
       for (std::size_t slot = 0; slot < opt->num_slots(); ++slot) {
@@ -487,7 +485,7 @@ TEST(OptimizerDeterminism, ThreadAndIsaBitIdentity) {
           state.insert(state.end(), seg.begin(), seg.end());
         }
       }
-      return std::pair{model->to_flat(), state};
+      return std::pair{model.to_flat(), state};
     };
 
     const auto [ref_w, ref_s] = run(vec::Isa::kScalar, 0);

@@ -11,41 +11,37 @@
 #include <sstream>
 
 #include "core/result_io.h"
-#include "nn/deep_mlp.h"
+#include "nn/model.h"
 #include "util/rng.h"
 
 namespace hetero {
 namespace {
 
 // The paper's 3-layer model: one hidden layer, written as v1.
-nn::DeepMlp make_model() {
-  nn::DeepMlpConfig cfg;
-  cfg.num_features = 20;
-  cfg.hidden = {6};
-  cfg.num_classes = 9;
-  nn::DeepMlp model(cfg);
+nn::Model small_model() {
+  nn::Model model(20, {6}, 9);
   util::Rng rng(5);
   model.init(rng);
   return model;
 }
 
 TEST(Serialize, RoundTripPreservesModel) {
-  const auto model = make_model();
+  const auto model = small_model();
   std::stringstream buffer;
   nn::save_model(buffer, model);
   const auto loaded = nn::load_any_model(buffer);
-  EXPECT_EQ(loaded->info().num_features, 20u);
-  EXPECT_EQ(loaded->info().hidden, (std::vector<std::size_t>{6}));
-  EXPECT_EQ(loaded->info().num_classes, 9u);
-  EXPECT_DOUBLE_EQ(loaded->squared_distance(model), 0.0);
+  EXPECT_EQ(loaded.info().num_features, 20u);
+  EXPECT_EQ(loaded.info().hidden, (std::vector<std::size_t>{6}));
+  EXPECT_EQ(loaded.info().num_classes, 9u);
+  EXPECT_DOUBLE_EQ(loaded.squared_distance(model), 0.0);
 }
 
 TEST(Serialize, FileRoundTrip) {
-  const auto model = make_model();
+  const auto model = small_model();
   const std::string path = ::testing::TempDir() + "/model.hgpu";
   nn::save_model_file(path, model);
   const auto loaded = nn::load_any_model_file(path);
-  EXPECT_DOUBLE_EQ(loaded->squared_distance(model), 0.0);
+  EXPECT_DOUBLE_EQ(loaded.squared_distance(model), 0.0);
   std::remove(path.c_str());
 }
 
@@ -55,7 +51,7 @@ TEST(Serialize, BadMagicRejected) {
 }
 
 TEST(Serialize, TruncatedParametersRejected) {
-  const auto model = make_model();
+  const auto model = small_model();
   std::stringstream buffer;
   nn::save_model(buffer, model);
   std::string data = buffer.str();
@@ -67,7 +63,7 @@ TEST(Serialize, TruncatedParametersRejected) {
 TEST(Serialize, MissingFileThrows) {
   EXPECT_THROW(nn::load_any_model_file("/nonexistent/m.hgpu"),
                std::runtime_error);
-  EXPECT_THROW(nn::save_model_file("/nonexistent/dir/m.hgpu", make_model()),
+  EXPECT_THROW(nn::save_model_file("/nonexistent/dir/m.hgpu", small_model()),
                std::runtime_error);
 }
 
@@ -77,7 +73,7 @@ TEST(Serialize, V1BytesArePinned) {
   // Checkpoints written before the layer-list format existed must stay
   // readable, and new one-hidden-layer checkpoints must stay readable by
   // old builds.
-  const auto model = make_model();
+  const auto model = small_model();
   std::stringstream buffer;
   nn::save_model(buffer, model);
   const std::string got = buffer.str();
@@ -97,11 +93,7 @@ TEST(Serialize, V1BytesArePinned) {
 }
 
 TEST(Serialize, DeepModelRoundTripsAsV2) {
-  nn::DeepMlpConfig cfg;
-  cfg.num_features = 20;
-  cfg.hidden = {10, 7};
-  cfg.num_classes = 9;
-  nn::DeepMlp model(cfg);
+  nn::Model model(20, {10, 7}, 9);
   util::Rng rng(6);
   model.init(rng);
 
@@ -115,21 +107,21 @@ TEST(Serialize, DeepModelRoundTripsAsV2) {
   EXPECT_EQ(version, 2u);
 
   const auto loaded = nn::load_any_model(buffer);
-  EXPECT_EQ(loaded->info().num_features, 20u);
-  EXPECT_EQ(loaded->info().hidden, (std::vector<std::size_t>{10, 7}));
-  EXPECT_EQ(loaded->info().num_classes, 9u);
-  EXPECT_EQ(loaded->to_flat(), model.to_flat());
+  EXPECT_EQ(loaded.info().num_features, 20u);
+  EXPECT_EQ(loaded.info().hidden, (std::vector<std::size_t>{10, 7}));
+  EXPECT_EQ(loaded.info().num_classes, 9u);
+  EXPECT_EQ(loaded.to_flat(), model.to_flat());
 }
 
 TEST(Serialize, LoadAnyModelReadsV1AsMlp) {
-  const auto model = make_model();
+  const auto model = small_model();
   std::stringstream buffer;
   nn::save_model(buffer, model);
   const auto loaded = nn::load_any_model(buffer);
-  EXPECT_EQ(loaded->info().num_features, 20u);
-  EXPECT_EQ(loaded->info().hidden, (std::vector<std::size_t>{6}));
-  EXPECT_EQ(loaded->info().num_classes, 9u);
-  EXPECT_EQ(loaded->to_flat(), model.to_flat());
+  EXPECT_EQ(loaded.info().num_features, 20u);
+  EXPECT_EQ(loaded.info().hidden, (std::vector<std::size_t>{6}));
+  EXPECT_EQ(loaded.info().num_classes, 9u);
+  EXPECT_EQ(loaded.to_flat(), model.to_flat());
 }
 
 TEST(Serialize, OneHiddenLayerV2StillLoads) {
@@ -137,7 +129,7 @@ TEST(Serialize, OneHiddenLayerV2StillLoads) {
   // the shape picked the format; save_model now writes v1 for them, so the
   // v2 bytes are built by hand: "HGPU" | u32 2 | u64 1 | u64 F | u64 H |
   // u64 C | float params.
-  const auto model = make_model();
+  const auto model = small_model();
   std::string bytes = "HGPU";
   const auto append_pod = [&bytes](const auto& value) {
     bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
@@ -151,31 +143,27 @@ TEST(Serialize, OneHiddenLayerV2StillLoads) {
 
   std::stringstream buffer(bytes);
   const auto loaded = nn::load_any_model(buffer);
-  EXPECT_EQ(loaded->info().num_features, 20u);
-  EXPECT_EQ(loaded->info().hidden, (std::vector<std::size_t>{6}));
-  EXPECT_EQ(loaded->info().num_classes, 9u);
-  EXPECT_EQ(loaded->to_flat(), model.to_flat());
+  EXPECT_EQ(loaded.info().num_features, 20u);
+  EXPECT_EQ(loaded.info().hidden, (std::vector<std::size_t>{6}));
+  EXPECT_EQ(loaded.info().num_classes, 9u);
+  EXPECT_EQ(loaded.to_flat(), model.to_flat());
 
   // Written back, it takes the v1 bytes of the same model.
   std::stringstream v1, resaved;
   nn::save_model(v1, model);
-  nn::save_model(resaved, *loaded);
+  nn::save_model(resaved, loaded);
   EXPECT_EQ(resaved.str(), v1.str());
 }
 
 TEST(Serialize, V2FileRoundTrip) {
-  nn::DeepMlpConfig cfg;
-  cfg.num_features = 20;
-  cfg.hidden = {10, 7};
-  cfg.num_classes = 9;
-  nn::DeepMlp model(cfg);
+  nn::Model model(20, {10, 7}, 9);
   util::Rng rng(9);
   model.init(rng);
 
   const std::string path = ::testing::TempDir() + "/deep.hgpu";
   nn::save_model_file(path, model);
   const auto loaded = nn::load_any_model_file(path);
-  EXPECT_EQ(loaded->to_flat(), model.to_flat());
+  EXPECT_EQ(loaded.to_flat(), model.to_flat());
   std::remove(path.c_str());
 }
 
