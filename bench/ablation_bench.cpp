@@ -68,8 +68,7 @@ double grid_lr(nn::OptimizerKind kind, double sgd_lr) {
 
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
-  const auto megabatches =
-      static_cast<std::size_t>(args.get_int("megabatches", 8));
+  const auto megabatches = args.get_size("megabatches", 8);
   const bool smoke = args.get_bool("smoke", false);
   const auto out_path = args.get_string("out", "BENCH_ablation.json");
   if (args.report_unknown()) return 1;

@@ -17,9 +17,8 @@ using namespace hetero;
 
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
-  const auto megabatches =
-      static_cast<std::size_t>(args.get_int("megabatches", 6));
-  const auto gpus = static_cast<std::size_t>(args.get_int("gpus", 4));
+  const auto megabatches = args.get_size("megabatches", 6);
+  const auto gpus = args.get_size("gpus", 4);
   if (args.report_unknown()) return 1;
 
   const auto dataset = data::generate_xml_dataset(bench::bench_amazon());

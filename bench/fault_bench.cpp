@@ -54,7 +54,7 @@ core::TrainResult run_with_plan(const data::XmlDataset& dataset,
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   const bool smoke = args.get_bool("smoke", false);
-  const auto gpus = static_cast<std::size_t>(args.get_int("gpus", 4));
+  const auto gpus = args.get_size("gpus", 4);
   const auto out_path = args.get_string("out", "BENCH_fault.json");
   if (args.report_unknown()) return 1;
 

@@ -23,8 +23,7 @@ using namespace hetero;
 
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
-  const auto megabatches =
-      static_cast<std::size_t>(args.get_int("megabatches", 6));
+  const auto megabatches = args.get_size("megabatches", 6);
   const bool quick = args.get_bool("quick", false);
   if (args.report_unknown()) return 1;
 

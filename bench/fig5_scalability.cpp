@@ -57,8 +57,7 @@ std::string label_of(const core::TrainResult& r) {
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   const bool smoke = args.get_bool("smoke", false);
-  const auto megabatches = static_cast<std::size_t>(
-      args.get_int("megabatches", smoke ? 3 : 8));
+  const auto megabatches = args.get_size("megabatches", smoke ? 3 : 8);
   if (args.report_unknown()) return 1;
 
   util::CsvWriter csv("fig5_scalability.csv",

@@ -569,6 +569,66 @@ BENCHMARK(BM_MergeFusedDeltaDeep)
     ->Args({17, 4, 1, 226})
     ->Unit(benchmark::kMillisecond);
 
+// Algorithm 2's perturbation gate at one merge boundary (DESIGN.md §5c):
+// the exact sweep computes every replica's l2_norm_per_parameter(); the
+// certified bound (MultiGpuRuntime::replicas_l2_below under sparse_merge)
+// reads the global model once plus each replica's touched W1 rows and the
+// dense tail. Each replica equals global outside its touched rows, as after
+// a broadcast, and the default pert_thr of 0.1 lies far above every norm, so
+// the bound decides each replica without the exact fallback.
+// args: {log2(features), replicas, 0 = exact sweep / 1 = certified bound,
+//        per-replica touched permille}
+void BM_PerturbationGate(benchmark::State& state) {
+  MergeSetup s(std::size_t{1} << state.range(0), {kHidden}, kClasses,
+               static_cast<std::size_t>(state.range(1)),
+               static_cast<std::size_t>(state.range(3)));
+  s.broadcast();
+  for (std::size_t i = 0; i < s.replicas.size(); ++i) {
+    float* w1 = s.replicas[i].weights(0).data();
+    for (const std::uint32_t r : s.touched[i].rows()) {
+      for (std::size_t c = 0; c < s.hidden(); ++c) {
+        w1[r * s.hidden() + c] += 0.01f;
+      }
+    }
+  }
+  constexpr double kThreshold = 0.1;
+  const bool bound = state.range(2) != 0;
+  const nn::Model& global = s.global;
+  sparse::RowSet merge_union;
+  merge_union.reset(s.features());
+  for (const auto& t : s.touched) merge_union.add(t);
+  for (auto _ : state) {
+    bool below = true;
+    if (bound) {
+      const double global_l2 = global.l2_norm_per_parameter();
+      const auto global_segs = global.segment_views();
+      for (std::size_t i = 0; i < s.replicas.size(); ++i) {
+        const nn::Model& replica = s.replicas[i];
+        below = below && core::certify_l2_below(
+                             replica.segment_views(), global_segs,
+                             s.touched[i].rows(), s.hidden(), global_l2,
+                             kThreshold) == core::L2Gate::kBelow;
+      }
+    } else {
+      for (const auto& replica : s.replicas) {
+        below = below && replica.l2_norm_per_parameter() < kThreshold;
+      }
+    }
+    benchmark::DoNotOptimize(below);
+  }
+  state.counters["union_rows"] = static_cast<double>(merge_union.size());
+  state.SetItemsProcessed(state.iterations() * s.num_parameters() *
+                          static_cast<std::int64_t>(s.replicas.size()));
+}
+// About 2.6% of W1 rows per replica and 10% across 4 replicas, the shares
+// train-wide-delta's mega-batches touch.
+BENCHMARK(BM_PerturbationGate)
+    ->Args({21, 4, 0, 26})
+    ->Args({21, 4, 1, 26})
+    ->Args({17, 4, 0, 26})
+    ->Args({17, 4, 1, 26})
+    ->Unit(benchmark::kMillisecond);
+
 // Tiny smoke shape for the bench-smoke ctest label (exercises all merge
 // paths — including the int8/fp16 quantized delta merge — plus JSON
 // emission without paying for the sweep).

@@ -13,8 +13,7 @@ using namespace hetero;
 
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
-  const auto megabatches =
-      static_cast<std::size_t>(args.get_int("megabatches", 5));
+  const auto megabatches = args.get_size("megabatches", 5);
   if (args.report_unknown()) return 1;
 
   const auto dataset = data::generate_xml_dataset(bench::bench_amazon());

@@ -62,20 +62,16 @@ int main(int argc, char** argv) {
   const bool smoke = args.get_bool("smoke", false);
   const auto out_path = args.get_string("out", "BENCH_serve.json");
   const auto qps = args.get_double("qps", 4000.0);
-  auto requests = static_cast<std::size_t>(args.get_int("requests", 4000));
-  const auto workers = static_cast<std::size_t>(args.get_int("workers", 4));
-  const auto max_batch =
-      static_cast<std::size_t>(args.get_int("max-batch", 8));
+  auto requests = args.get_size("requests", 4000);
+  const auto workers = args.get_size("workers", 4);
+  const auto max_batch = args.get_size("max-batch", 8);
   const auto latency_budget_us =
-      static_cast<std::uint64_t>(args.get_int("latency-budget-us", 2000));
-  const auto queue_cap =
-      static_cast<std::size_t>(args.get_int("queue-cap", 1024));
-  const auto topk = static_cast<std::size_t>(args.get_int("topk", 5));
-  const auto gpus = static_cast<std::size_t>(args.get_int("gpus", 3));
-  auto megabatches =
-      static_cast<std::size_t>(args.get_int("megabatches", 6));
-  auto recall_queries =
-      static_cast<std::size_t>(args.get_int("recall-queries", 256));
+      static_cast<std::uint64_t>(args.get_size("latency-budget-us", 2000));
+  const auto queue_cap = args.get_size("queue-cap", 1024);
+  const auto topk = args.get_size("topk", 5);
+  const auto gpus = args.get_size("gpus", 3);
+  auto megabatches = args.get_size("megabatches", 6);
+  auto recall_queries = args.get_size("recall-queries", 256);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12345));
   if (args.report_unknown()) return 1;
 

@@ -55,8 +55,8 @@ int run(int argc, char** argv) {
   const auto out_path = args.get_string("out", "");
   const auto cache_in = args.get_string("cache-in", "");
   const auto cache_out = args.get_string("cache-out", "");
-  const auto hash_bits = static_cast<std::size_t>(args.get_int("hash-bits", 0));
-  const auto train_size = static_cast<std::size_t>(args.get_int("train", 0));
+  const auto hash_bits = args.get_size("hash-bits", 0);
+  const auto train_size = args.get_size("train", 0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   if (args.report_unknown()) return 1;
 

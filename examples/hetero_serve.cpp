@@ -73,20 +73,17 @@ int run(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   vec::set_isa_from_string(args.get_string("isa", ""));
   const auto snapshot_file = args.get_string("snapshot-from-checkpoint", "");
-  const auto topk = static_cast<std::size_t>(args.get_int("topk", 5));
+  const auto topk = args.get_size("topk", 5);
   const bool use_lsh = args.get_bool("lsh", false);
-  const auto workers = static_cast<std::size_t>(args.get_int("workers", 2));
+  const auto workers = args.get_size("workers", 2);
   const auto latency_budget_us =
-      static_cast<std::uint64_t>(args.get_int("latency-budget-us", 2000));
-  const auto max_batch = static_cast<std::size_t>(args.get_int("max-batch", 8));
-  const auto queue_cap =
-      static_cast<std::size_t>(args.get_int("queue-cap", 1024));
-  const auto num_requests =
-      static_cast<std::size_t>(args.get_int("requests", 200));
+      static_cast<std::uint64_t>(args.get_size("latency-budget-us", 2000));
+  const auto max_batch = args.get_size("max-batch", 8);
+  const auto queue_cap = args.get_size("queue-cap", 1024);
+  const auto num_requests = args.get_size("requests", 200);
   const auto qps = args.get_double("qps", 2000.0);
-  const auto megabatches =
-      static_cast<std::size_t>(args.get_int("megabatches", 4));
-  const auto gpus = static_cast<std::size_t>(args.get_int("gpus", 3));
+  const auto megabatches = args.get_size("megabatches", 4);
+  const auto gpus = args.get_size("gpus", 3);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12345));
   const auto dump_snapshot = args.get_string("dump-snapshot", "");
   if (args.report_unknown()) return 1;

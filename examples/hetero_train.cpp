@@ -80,25 +80,19 @@ int run(int argc, char** argv) {
   // replicas scheduled like any other device. The merge is two-level past
   // one node: the intra-node ring, then a chunked inter-node ring on a
   // --net-gbs/--net-latency-us network link.
-  const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 1));
-  const auto node_gpus =
-      static_cast<std::size_t>(args.get_int("node-gpus", 0));
-  const auto cpu_replicas =
-      static_cast<std::size_t>(args.get_int("cpu-replica", 0));
+  const auto nodes = args.get_size("nodes", 1);
+  const auto node_gpus = args.get_size("node-gpus", 0);
+  const auto cpu_replicas = args.get_size("cpu-replica", 0);
   const auto cpu_slowdown = args.get_double("cpu-slowdown", 25.0);
   const auto net_gbs = args.get_double("net-gbs", 12.5);
   const auto net_latency_us = args.get_double("net-latency-us", 50.0);
-  const auto megabatches =
-      static_cast<std::size_t>(args.get_int("megabatches", 6));
-  const auto batch_max =
-      static_cast<std::size_t>(args.get_int("batch-max", 128));
+  const auto megabatches = args.get_size("megabatches", 6);
+  const auto batch_max = args.get_size("batch-max", 128);
   // b_min for Algorithm 1 (0 = b_max/8). A CPU replica 10-50x slower than
   // the GPUs needs a deeper floor than the default 8x range to converge to
   // its equal-update-count batch.
-  const auto batch_min =
-      static_cast<std::size_t>(args.get_int("batch-min", 0));
-  const auto batches_per_megabatch =
-      static_cast<std::size_t>(args.get_int("batches-per-megabatch", 40));
+  const auto batch_min = args.get_size("batch-min", 0);
+  const auto batches_per_megabatch = args.get_size("batches-per-megabatch", 40);
   const auto lr = args.get_double("lr", 0.5);
   const auto model_name = args.get_string("model", "mlp");
   std::vector<std::size_t> hidden_layers;
@@ -118,18 +112,16 @@ int run(int argc, char** argv) {
   const auto optimizer_name = args.get_string("optimizer", "sgd");
   // Merge-boundary policy for the optimizer state (DESIGN.md §11).
   const auto moment_merge_name = args.get_string("moment-merge", "average");
-  const auto warmup = static_cast<std::size_t>(args.get_int("warmup", 0));
+  const auto warmup = args.get_size("warmup", 0);
   const bool adaptive_cadence = args.get_bool("adaptive-cadence", false);
   const auto speeds_str = args.get_string("speeds", "");  // "1.0,0.9,0.76"
   const bool show_gantt = args.get_bool("gantt", false);
   const auto lr_decay = args.get_double("lr-decay", 1.0);
-  const auto lr_decay_every =
-      static_cast<std::size_t>(args.get_int("lr-decay-every", 0));
-  const auto patience = static_cast<std::size_t>(args.get_int("patience", 0));
+  const auto lr_decay_every = args.get_size("lr-decay-every", 0);
+  const auto patience = args.get_size("patience", 0);
   // Real-math worker threads per kernel (0 = all hardware threads). Results
   // are bit-identical across any setting; this only changes wall-clock.
-  const auto kernel_threads =
-      static_cast<std::size_t>(args.get_int("kernel-threads", 1));
+  const auto kernel_threads = args.get_size("kernel-threads", 1);
   // Delta-aware merge: reduce/rebroadcast only the touched W1 rows at each
   // mega-batch merge. Bit-identical to the dense merge; only comm cost and
   // merge wall-clock change.
@@ -140,12 +132,10 @@ int run(int argc, char** argv) {
   // the quantization noise.
   const auto merge_precision_name =
       args.get_string("merge-precision", "fp32");
-  const auto allreduce_streams =
-      static_cast<std::size_t>(args.get_int("allreduce-streams", 0));
+  const auto allreduce_streams = args.get_size("allreduce-streams", 0);
   // Fault subsystem: deterministic fault schedule + checkpointed recovery.
   const auto fault_plan_spec = args.get_string("fault-plan", "");
-  const auto checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 0));
+  const auto checkpoint_every = args.get_size("checkpoint-every", 0);
   const auto checkpoint_path =
       args.get_string("checkpoint-path", "hetero.ckpt");
   const auto resume_from = args.get_string("resume-from", "");

@@ -19,9 +19,8 @@ using namespace hetero;
 
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
-  const auto megabatches =
-      static_cast<std::size_t>(args.get_int("megabatches", 6));
-  const auto num_gpus = static_cast<std::size_t>(args.get_int("gpus", 4));
+  const auto megabatches = args.get_size("megabatches", 6);
+  const auto num_gpus = args.get_size("gpus", 4);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   if (args.report_unknown()) return 1;
 

@@ -20,9 +20,9 @@ using namespace hetero;
 
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
-  const auto gpus = static_cast<std::size_t>(args.get_int("gpus", 4));
+  const auto gpus = args.get_size("gpus", 4);
   const auto gap = args.get_double("gap", 0.5);
-  const auto width = static_cast<std::size_t>(args.get_int("width", 100));
+  const auto width = args.get_size("width", 100);
   if (args.report_unknown()) return 1;
 
   auto data_cfg = data::tiny_profile();

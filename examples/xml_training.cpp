@@ -44,9 +44,8 @@ data::XmlDataset load_libsvm_dataset(const std::string& path) {
 
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
-  const auto gpus = static_cast<std::size_t>(args.get_int("gpus", 4));
-  const auto megabatches =
-      static_cast<std::size_t>(args.get_int("megabatches", 4));
+  const auto gpus = args.get_size("gpus", 4);
+  const auto megabatches = args.get_size("megabatches", 4);
   const auto dataset_name = args.get_string("dataset", "amazon");
   const auto libsvm_path = args.get_string("libsvm", "");
   if (args.report_unknown()) return 1;

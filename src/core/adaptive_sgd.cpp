@@ -139,7 +139,12 @@ void AdaptiveSgdTrainer::run_megabatch(TrainResult& result) {
   for (std::size_t g : alive) {
     inputs.updates.push_back(sgd_[g].updates);
     inputs.batch_sizes.push_back(sgd_[g].batch_size);
-    inputs.l2_per_param.push_back(runtime_.replica(g).l2_norm_per_parameter());
+  }
+  // The L2 norms matter only to the perturbation, which needs it enabled
+  // and two replicas.
+  if (cfg_.enable_perturbation && alive.size() > 1) {
+    inputs.all_regularized =
+        runtime_.replicas_l2_below(alive, cfg_.pert_threshold);
   }
   const auto weights = compute_merge_weights(inputs);
   const auto full =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "tensor/vec/vec.h"
 
@@ -29,7 +30,6 @@ std::optional<MomentMerge> parse_moment_merge(const std::string& text) {
 MergeWeights compute_merge_weights(const MergeInputs& inputs) {
   const std::size_t n = inputs.updates.size();
   assert(inputs.batch_sizes.size() == n);
-  assert(inputs.l2_per_param.size() == n);
   MergeWeights out;
   out.alpha.resize(n, 0.0);
   if (n == 0) return out;
@@ -66,9 +66,13 @@ MergeWeights compute_merge_weights(const MergeInputs& inputs) {
   // Perturbation (lines 4-7): only when every replica is well-regularized,
   // so denormalized weights cannot amplify skewed parameters.
   if (inputs.enable_perturbation && n > 1) {
+    assert(inputs.all_regularized || inputs.l2_per_param.size() == n);
     const bool all_regularized =
-        std::all_of(inputs.l2_per_param.begin(), inputs.l2_per_param.end(),
-                    [&](double v) { return v < inputs.pert_threshold; });
+        inputs.all_regularized
+            ? *inputs.all_regularized
+            : std::all_of(inputs.l2_per_param.begin(),
+                          inputs.l2_per_param.end(),
+                          [&](double v) { return v < inputs.pert_threshold; });
     if (all_regularized) {
       std::size_t r = 0, s = 0;
       for (std::size_t i = 1; i < n; ++i) {
@@ -81,6 +85,53 @@ MergeWeights compute_merge_weights(const MergeInputs& inputs) {
     }
   }
   return out;
+}
+
+L2Gate certify_l2_below(std::span<const std::span<const float>> replica,
+                        std::span<const std::span<const float>> global,
+                        std::span<const std::uint32_t> touched_rows,
+                        std::size_t cols, double global_l2,
+                        double threshold) {
+  assert(replica.size() == global.size());
+  std::size_t params = 0;
+  for (const auto seg : global) params += seg.size();
+  if (params == 0 || params >= kL2GateMaxParameters) return L2Gate::kUndecided;
+  const auto& vk = vec::kernels();
+  double ss = 0.0;
+  // Touched rows are scattered over W1, so each row is a cache (and often
+  // TLB) miss; prefetching a few rows ahead overlaps those misses.
+  constexpr std::size_t kAhead = 16;
+  constexpr std::size_t kLine = 64 / sizeof(float);
+  for (std::size_t i = 0; i < touched_rows.size(); ++i) {
+    if (i + kAhead < touched_rows.size()) {
+      const std::size_t next =
+          static_cast<std::size_t>(touched_rows[i + kAhead]) * cols;
+      for (std::size_t c = 0; c < cols; c += kLine) {
+        __builtin_prefetch(replica[0].data() + next + c);
+        __builtin_prefetch(global[0].data() + next + c);
+      }
+    }
+    const std::size_t off = static_cast<std::size_t>(touched_rows[i]) * cols;
+    assert(off + cols <= global[0].size());
+    ss += vk.squared_distance(replica[0].data() + off, global[0].data() + off,
+                              cols);
+  }
+  for (std::size_t s = 1; s < global.size(); ++s) {
+    assert(replica[s].size() == global[s].size());
+    ss += vk.squared_distance(replica[s].data(), global[s].data(),
+                              global[s].size());
+  }
+  const double dist = std::sqrt(ss) / static_cast<double>(params);
+  // The slack widens each term on its own, so the lower bound stays valid
+  // even when D is close to G.
+  if ((global_l2 + dist) * (1.0 + kL2GateSlack) < threshold) {
+    return L2Gate::kBelow;
+  }
+  if (global_l2 * (1.0 - kL2GateSlack) - dist * (1.0 + kL2GateSlack) >=
+      threshold) {
+    return L2Gate::kNotBelow;
+  }
+  return L2Gate::kUndecided;
 }
 
 void momentum_global_update(std::span<const float> merged,

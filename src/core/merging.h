@@ -69,6 +69,11 @@ struct MergeInputs {
   std::vector<std::size_t> updates;      // u_i per GPU
   std::vector<std::size_t> batch_sizes;  // b_i per GPU
   std::vector<double> l2_per_param;      // ||w_i||_2 / |w| per GPU
+  // The perturbation gate's answer (every ||w_i||_2 / |w| < pert_threshold)
+  // when the caller decided it without the exact norms, as
+  // MultiGpuRuntime::replicas_l2_below does; l2_per_param is then not read.
+  // The gate is read only with perturbation enabled and n > 1.
+  std::optional<bool> all_regularized;
   double pert_threshold = 0.1;
   double pert_delta = 0.1;
   bool enable_perturbation = true;
@@ -83,6 +88,38 @@ struct MergeWeights {
 
 /// Lines 1-7 of Algorithm 2: normalization + perturbation.
 MergeWeights compute_merge_weights(const MergeInputs& inputs);
+
+// ---- Certified perturbation gate (DESIGN.md §5c) -------------------------
+//
+// Algorithm 2 reads the replica L2 norms only to test
+// `l2_norm_per_parameter() < pert_threshold`. A replica w that equals the
+// global model g outside a known set of W1 rows is bounded by the triangle
+// inequality: with G = ||g|| / P and D = ||w - g|| / P,
+//   G - D <= ||w|| / P <= G + D,
+// and w - g vanishes outside those rows, so D reads only the rows plus the
+// dense tail instead of the whole replica.
+
+/// What the bound knows about `l2_norm_per_parameter() < threshold`.
+enum class L2Gate { kBelow, kNotBelow, kUndecided };
+
+/// Relative slack applied to each side of the bound. It covers the rounding
+/// of the three double sums involved (the exact norm, G and D), each within
+/// P * 2^-53 relative for P < kL2GateMaxParameters, so a decided answer
+/// always equals the exact test. Larger models always answer kUndecided.
+inline constexpr double kL2GateSlack = 1e-6;
+inline constexpr std::size_t kL2GateMaxParameters = std::size_t{1} << 32;
+
+/// Certified form of `replica.l2_norm_per_parameter() < threshold` for a
+/// replica that equals `global` outside `touched_rows` of segment 0 (row-major,
+/// `cols` floats per row); the later segments are compared in full.
+/// `replica` and `global` are the two models' segment_views() and
+/// `global_l2` is global.l2_norm_per_parameter(). kUndecided (the answer
+/// whenever the bound straddles the threshold, or a norm is NaN) leaves the
+/// exact sweep to the caller.
+L2Gate certify_l2_below(std::span<const std::span<const float>> replica,
+                        std::span<const std::span<const float>> global,
+                        std::span<const std::uint32_t> touched_rows,
+                        std::size_t cols, double global_l2, double threshold);
 
 /// Elastic membership (fault subsystem): expands weights computed by
 /// compute_merge_weights over the alive subset into a full per-replica

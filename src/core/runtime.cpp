@@ -70,8 +70,8 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
   for (std::size_t g = 0; g < n; ++g) {
     optimizers_.push_back(nn::Optimizer::make(cfg_.optimizer, replicas_[g]));
   }
-  // Cap absurd requests (e.g. a negative CLI value cast through size_t)
-  // before sizing the pool; oversubscription past this helps nobody.
+  // Cap absurd requests (e.g. --kernel-threads 100000) before sizing the
+  // pool; oversubscription past this helps nobody.
   constexpr std::size_t kMaxKernelThreads = 256;
   const std::size_t kernel_threads = std::min(
       cfg_.kernel_threads != 0
@@ -826,6 +826,36 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
   }
   if (publish_hook_) publish_hook_(global_, timing.finish);
   return timing;
+}
+
+bool MultiGpuRuntime::replicas_l2_below(std::span<const std::size_t> replicas,
+                                        double threshold) const {
+  const auto exact_below = [&](std::size_t g) {
+    return replicas_[g].l2_norm_per_parameter() < threshold;
+  };
+  if (!cfg_.sparse_merge) {
+    return std::all_of(replicas.begin(), replicas.end(), exact_below);
+  }
+  // Read at the gate, not cached from the merge: a write through the
+  // non-const global_model() (restore, tests) would leave a cached norm
+  // stale.
+  const double global_l2 = global_.l2_norm_per_parameter();
+  const auto global_segs = global_.segment_views();
+  const std::size_t cols = global_.info().input_cols();
+  for (const std::size_t g : replicas) {
+    switch (certify_l2_below(replicas_[g].segment_views(), global_segs,
+                             touched_w1_[g].rows(), cols, global_l2,
+                             threshold)) {
+      case L2Gate::kBelow:
+        break;
+      case L2Gate::kNotBelow:
+        return false;
+      case L2Gate::kUndecided:
+        if (!exact_below(g)) return false;
+        break;
+    }
+  }
+  return true;
 }
 
 void MultiGpuRuntime::broadcast_global() {

@@ -275,6 +275,18 @@ class MultiGpuRuntime {
   MergeTiming merge_and_update(std::span<const double> weights,
                                double sync_time);
 
+  /// Algorithm 2's perturbation gate: true when every replica in `replicas`
+  /// has l2_norm_per_parameter() < threshold, and exactly when that holds
+  /// (DESIGN.md §5c). With sparse_merge on, a replica equals the global
+  /// model outside the W1 rows it touched since the last broadcast, so
+  /// certify_l2_below decides it from one pass over the global model plus
+  /// those rows and the dense tail; the exact sweep runs only where the
+  /// bound cannot decide. Dense runs track no rows and sweep every replica.
+  /// Stops at the first replica not below. Changes no state; call after
+  /// math_barrier().
+  bool replicas_l2_below(std::span<const std::size_t> replicas,
+                         double threshold) const;
+
   /// The current global model (host copy).
   const nn::Model& global_model() const { return global_; }
   nn::Model& global_model() { return global_; }

@@ -116,12 +116,6 @@ std::string read_blob(std::istream& in) {
   return blob;
 }
 
-std::string serialize_model(const nn::Model& model) {
-  std::ostringstream out(std::ios::binary);
-  nn::save_model(out, model);
-  return out.str();
-}
-
 /// "features x hidden... x classes", e.g. "64x8x4x16".
 std::string shape_string(const nn::ModelInfo& info) {
   std::string s = std::to_string(info.num_features);
@@ -209,16 +203,20 @@ TrainingCheckpoint capture_checkpoint(core::AdaptiveSgdTrainer& trainer) {
       s.row_steps.assign(steps.begin(), steps.end());
       s.slots.resize(opt.num_slots());
       for (std::size_t slot = 0; slot < opt.num_slots(); ++slot) {
+        const auto views = opt.slot_views(slot);
+        std::size_t total = 0;
+        for (const auto seg : views) total += seg.size();
         auto& flat = s.slots[slot];
-        for (const auto seg : opt.slot_views(slot)) {
+        flat.reserve(total);
+        for (const auto seg : views) {
           flat.insert(flat.end(), seg.begin(), seg.end());
         }
       }
     }
   }
 
-  ckpt.global_blob = serialize_model(runtime.global_model());
-  ckpt.prev_global_blob = serialize_model(runtime.prev_global_model());
+  ckpt.global_blob = nn::model_blob(runtime.global_model());
+  ckpt.prev_global_blob = nn::model_blob(runtime.prev_global_model());
   return ckpt;
 }
 

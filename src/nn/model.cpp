@@ -127,6 +127,16 @@ std::vector<std::span<float>> Model::segment_views() {
   return views;
 }
 
+std::vector<std::span<const float>> Model::segment_views() const {
+  std::vector<std::span<const float>> views;
+  views.reserve(2 * weights_.size());
+  for (std::size_t l = 0; l < weights_.size(); ++l) {
+    views.push_back({weights_[l].data(), weights_[l].size()});
+    views.push_back({biases_[l].data(), biases_[l].size()});
+  }
+  return views;
+}
+
 double Model::l2_norm_per_parameter() const {
   double ss = 0.0;
   for (std::size_t l = 0; l < weights_.size(); ++l) {

@@ -135,6 +135,7 @@ class Model {
   /// In-place parameter views: one [weights, biases] pair per layer, in
   /// flat order. Views stay valid while the model is alive.
   std::vector<std::span<float>> segment_views();
+  std::vector<std::span<const float>> segment_views() const;
 
   /// L2 norm over all parameters / parameter count (Algorithm 2 gate).
   double l2_norm_per_parameter() const;

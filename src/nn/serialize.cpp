@@ -31,8 +31,28 @@ constexpr std::uint64_t kMaxHiddenLayers = 1024;
 }
 
 template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+void append_pod(std::string& out, const T& value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+// Magic, version and shape: everything before the float32 parameters.
+std::string header_bytes(const ModelInfo& info) {
+  std::string out(kMagic, sizeof(kMagic));
+  if (info.hidden.size() == 1) {
+    append_pod(out, kVersionOneHidden);
+    append_pod(out, static_cast<std::uint64_t>(info.num_features));
+    append_pod(out, static_cast<std::uint64_t>(info.hidden.front()));
+    append_pod(out, static_cast<std::uint64_t>(info.num_classes));
+  } else {
+    append_pod(out, kVersionLayerList);
+    append_pod(out, static_cast<std::uint64_t>(info.hidden.size()));
+    append_pod(out, static_cast<std::uint64_t>(info.num_features));
+    for (const std::size_t h : info.hidden) {
+      append_pod(out, static_cast<std::uint64_t>(h));
+    }
+    append_pod(out, static_cast<std::uint64_t>(info.num_classes));
+  }
+  return out;
 }
 
 template <typename T>
@@ -61,13 +81,6 @@ void check_params_present(std::istream& in, unsigned __int128 num_params) {
   }
 }
 
-void write_params(std::ostream& out, const Model& model) {
-  const auto flat = model.to_flat();
-  out.write(reinterpret_cast<const char*>(flat.data()),
-            static_cast<std::streamsize>(flat.size() * sizeof(float)));
-  if (!out) throw std::runtime_error("model checkpoint: write failed");
-}
-
 void read_params(std::istream& in, Model& model) {
   std::vector<float> flat(model.num_parameters());
   in.read(reinterpret_cast<char*>(flat.data()),
@@ -78,23 +91,22 @@ void read_params(std::istream& in, Model& model) {
 }  // namespace
 
 void save_model(std::ostream& out, const Model& model) {
-  const auto& info = model.info();
-  out.write(kMagic, sizeof(kMagic));
-  if (info.hidden.size() == 1) {
-    write_pod(out, kVersionOneHidden);
-    write_pod(out, static_cast<std::uint64_t>(info.num_features));
-    write_pod(out, static_cast<std::uint64_t>(info.hidden.front()));
-    write_pod(out, static_cast<std::uint64_t>(info.num_classes));
-  } else {
-    write_pod(out, kVersionLayerList);
-    write_pod(out, static_cast<std::uint64_t>(info.hidden.size()));
-    write_pod(out, static_cast<std::uint64_t>(info.num_features));
-    for (const std::size_t h : info.hidden) {
-      write_pod(out, static_cast<std::uint64_t>(h));
-    }
-    write_pod(out, static_cast<std::uint64_t>(info.num_classes));
+  const std::string header = header_bytes(model.info());
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  for (const auto seg : model.segment_views()) {
+    out.write(reinterpret_cast<const char*>(seg.data()),
+              static_cast<std::streamsize>(seg.size_bytes()));
   }
-  write_params(out, model);
+  if (!out) throw std::runtime_error("model checkpoint: write failed");
+}
+
+std::string model_blob(const Model& model) {
+  std::string blob = header_bytes(model.info());
+  blob.reserve(blob.size() + model.num_bytes());
+  for (const auto seg : model.segment_views()) {
+    blob.append(reinterpret_cast<const char*>(seg.data()), seg.size_bytes());
+  }
+  return blob;
 }
 
 void save_model_file(const std::string& path, const Model& model) {

@@ -24,9 +24,14 @@
 namespace hetero::nn {
 
 /// Writes the model; throws std::runtime_error on I/O failure.
-/// One hidden layer is written as v1, more as v2.
+/// One hidden layer is written as v1, more as v2. The parameters go
+/// straight from segment_views() to the stream, with no staging copy.
 void save_model(std::ostream& out, const Model& model);
 void save_model_file(const std::string& path, const Model& model);
+
+/// The bytes save_model writes, as one string built with a single copy of
+/// the parameters: the in-memory blob of checkpoints and serving snapshots.
+std::string model_blob(const Model& model);
 
 /// Reads a checkpoint of any supported version into a Model; throws
 /// hetero::ParseError (a std::runtime_error) on malformed input — bad

@@ -21,11 +21,7 @@ ModelSnapshot::ModelSnapshot(const nn::Model& global, std::uint64_t version,
                              double vtime, const LshParams& lsh)
     : model_(global), version_(version), vtime_(vtime), lsh_(lsh) {}
 
-std::string ModelSnapshot::blob() const {
-  std::ostringstream out(std::ios::binary);
-  nn::save_model(out, model_);
-  return std::move(out).str();
-}
+std::string ModelSnapshot::blob() const { return nn::model_blob(model_); }
 
 const tensor::Matrix& ModelSnapshot::output_weights() const {
   return model_.weights(info().hidden.size());

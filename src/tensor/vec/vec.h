@@ -16,14 +16,15 @@
 //    never the per-element operation order. The per-ISA TUs are compiled
 //    with -ffp-contract=off so the compiler cannot fuse the mul+add pairs
 //    into FMAs (which round once instead of twice) behind our back.
-//  * Reductions (dot_f32, dot_f64, sum_squares) accumulate into a fixed
-//    8-lane virtual accumulator — element p always lands in lane p mod 8,
-//    on every ISA — and the lanes are combined with one fixed reduction
-//    tree: t_i = l_i + l_{i+4}, u_0 = t_0 + t_2, u_1 = t_1 + t_3,
-//    total = u_0 + u_1. The scalar table keeps 8 named accumulators; AVX2
-//    uses one 8-float ymm (or two 4-double ymm); AVX-512 deliberately
-//    sticks to the same 8-lane shape (256-bit accumulators for float,
-//    one 8-double zmm) so the sums match AVX2 and scalar bit for bit.
+//  * Reductions (dot_f32, dot_f64, sum_squares, squared_distance)
+//    accumulate into a fixed 8-lane virtual accumulator — element p always
+//    lands in lane p mod 8, on every ISA — and the lanes are combined with
+//    one fixed reduction tree: t_i = l_i + l_{i+4}, u_0 = t_0 + t_2,
+//    u_1 = t_1 + t_3, total = u_0 + u_1. The scalar table keeps 8 named
+//    accumulators; AVX2 uses one 8-float ymm (or two 4-double ymm);
+//    AVX-512 deliberately sticks to the same 8-lane shape (256-bit
+//    accumulators for float, one 8-double zmm) so the sums match AVX2 and
+//    scalar bit for bit.
 //
 // ISA selection order: HETERO_ISA environment variable (scalar|avx2|avx512)
 // if set, else the best ISA both compiled in and reported by cpuid.
@@ -102,6 +103,8 @@ struct VecKernels {
   float (*dot_f32)(const float* a, const float* b, std::size_t n);
   double (*dot_f64)(const float* a, const float* b, std::size_t n);
   double (*sum_squares)(const float* x, std::size_t n);
+  // sum_p (double(a[p]) - b[p])^2
+  double (*squared_distance)(const float* a, const float* b, std::size_t n);
 
   // Fused-merge building blocks over a double accumulator block
   // (core/merging.cpp, comm/allreduce.cpp). Element-wise in double.

@@ -226,6 +226,31 @@ double sum_squares(const float* x, std::size_t n) {
   return reduce_tree8d(lanes);
 }
 
+// sum_p (double(a[p]) - b[p])^2 (core::certify_l2_below's distance).
+template <class VD>
+double squared_distance(const float* a, const float* b, std::size_t n) {
+  constexpr std::size_t W = VD::kWidth;
+  static_assert(W <= 8 && 8 % W == 0, "reduction lanes must tile 8");
+  constexpr std::size_t kAcc = 8 / W;
+  VD acc[kAcc];
+  for (auto& v : acc) v = VD::zero();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t k = 0; k < kAcc; ++k) {
+      const VD d =
+          VD::from_float(a + i + k * W) - VD::from_float(b + i + k * W);
+      acc[k] = acc[k] + d * d;
+    }
+  }
+  alignas(64) double lanes[8];
+  for (std::size_t k = 0; k < kAcc; ++k) acc[k].store(lanes + k * W);
+  for (std::size_t l = 0; i < n; ++i, ++l) {
+    const double d = static_cast<double>(a[i]) - b[i];
+    lanes[l] = lanes[l] + d * d;
+  }
+  return reduce_tree8d(lanes);
+}
+
 // ---------------------------------------------------------------------------
 // Fused-merge building blocks over a double accumulator block. Element-wise
 // in double, scalar tails (the accumulator blocks are at most 512 elements,
@@ -613,6 +638,7 @@ VecKernels make_table(Isa isa) {
   t.dot_f32 = &dot_f32<RF>;
   t.dot_f64 = &dot_f64<VD>;
   t.sum_squares = &sum_squares<VD>;
+  t.squared_distance = &squared_distance<VD>;
   t.merge_init = &merge_init<VD>;
   t.merge_accum = &merge_accum<VD>;
   t.merge_store = &merge_store<VD>;

@@ -71,6 +71,17 @@ std::int64_t ArgParser::get_int(const std::string& name, std::int64_t def) {
   return parse_i64_strict(*v, "cli: flag --" + name);
 }
 
+std::size_t ArgParser::get_size(const std::string& name, std::size_t def) {
+  auto v = take(name);
+  if (!v) return def;
+  const std::string source = "cli: flag --" + name;
+  const auto value = parse_i64_strict(*v, source);
+  if (value < 0) {
+    throw ParseError(source, "'" + *v + "' is negative (expected >= 0)");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 double ArgParser::get_double(const std::string& name, double def) {
   auto v = take(name);
   if (!v) return def;

@@ -27,6 +27,9 @@ class ArgParser {
   /// is not a number — "--gpus=abc" must not silently become 0.
   std::string get_string(const std::string& name, const std::string& def);
   std::int64_t get_int(const std::string& name, std::int64_t def);
+  /// A count or size: get_int that also rejects a negative value with a
+  /// hetero::ParseError naming the flag, instead of wrapping it to ~2^64.
+  std::size_t get_size(const std::string& name, std::size_t def);
   double get_double(const std::string& name, double def);
   bool get_bool(const std::string& name, bool def);
 

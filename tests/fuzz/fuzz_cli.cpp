@@ -1,12 +1,15 @@
 // Fuzzes the CLI-facing parsers: parse_size_list (--hidden lists) and the
-// ArgParser numeric getters. Flag values come straight from the user's
-// shell; "--gpus=abc" must throw hetero::ParseError (it used to strtoll to
-// 0 silently), and a mutated size list must never crash or wrap.
+// ArgParser numeric getters, get_size included. Flag values come straight
+// from the user's shell; "--gpus=abc" must throw hetero::ParseError (it used
+// to strtoll to 0 silently), a negative size must throw rather than wrap,
+// and a mutated size list must never crash or wrap.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -64,9 +67,12 @@ TEST(FuzzCli, ArgParserGettersNeverCrash) {
       "--method adaptive --gpus 4 --gap 0.32 --lr 0.5 --hidden 256,128",
       "--model deep --sparse-merge --seed 7 --batch-max=128",
       "--fault-plan crash@2.5:gpu1 --checkpoint-every 2",
+      "--megabatches 6 --batch-max -1 --kernel-threads=4",
   });
   const fuzz::Mutator mutator({"--", "=", " ", "-", ".", "gpus", "lr",
-                               "hidden", "true", "1e999", "nan", ","});
+                               "hidden", "true", "1e999", "nan", ",",
+                               "megabatches", "-1",
+                               "9223372036854775808"});
   auto opts = fuzz::Options::from_env({});
   opts.seed = 0xC11FULL;
   StderrSilencer mute;
@@ -90,6 +96,28 @@ TEST(FuzzCli, ArgParserGettersNeverCrash) {
         args.get_double("lr", 0.5);
         args.get_bool("sparse-merge", false);
         args.get_size_list("hidden", {48});
+        // A size is the integer value, or a ParseError when that value is
+        // negative — never a wrapped one.
+        for (const char* flag :
+             {"megabatches", "batch-max", "kernel-threads"}) {
+          ArgParser ints(static_cast<int>(argv.size()), argv.data());
+          std::optional<std::int64_t> value;
+          try {
+            value = ints.get_int(flag, 6);
+          } catch (const ParseError&) {
+          }
+          try {
+            const std::size_t size = args.get_size(flag, 6);
+            if (!value || *value < 0 ||
+                static_cast<std::size_t>(*value) != size) {
+              throw std::logic_error("get_size disagrees with get_int");
+            }
+          } catch (const ParseError&) {
+            if (value && *value >= 0) {
+              throw std::logic_error("get_size rejected a valid size");
+            }
+          }
+        }
         args.report_unknown();
       });
   EXPECT_GE(stats.iterations, 10000u);

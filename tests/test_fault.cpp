@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -14,6 +15,7 @@
 
 #include "comm/quant.h"
 #include "core/adaptive_sgd.h"
+#include "core/batch_scaling.h"
 #include "core/merging.h"
 #include "core/runtime.h"
 #include "data/synthetic.h"
@@ -324,6 +326,160 @@ TEST_F(FaultTest, CrashRunMatchesSurvivorOnlyRun) {
   }
 }
 
+// ---- certified perturbation gate under faults -------------------------------
+
+// Exact-L2 replay of AdaptiveSgdTrainer::run_megabatch through public
+// runtime calls — the loop e2ebench/e2e_bench.cpp mirrors, plus the crash
+// and join handling: every alive replica's l2_norm_per_parameter() goes to
+// compute_merge_weights, so no bound is involved. Beside it, the replay
+// walks the gate's replica order with the bound over every W1 row (the
+// rows a replica did not touch add exactly zero) and counts the replicas
+// the bound leaves to the exact sweep, by the sweep's answer.
+struct ExactGateReplay {
+  std::size_t merges = 0;
+  std::size_t perturbed = 0;
+  std::size_t fallback_below = 0;
+  std::size_t fallback_not_below = 0;
+  std::vector<std::vector<double>> l2;  // per merge: alive replicas' L2
+  std::vector<float> global;
+};
+
+ExactGateReplay replay_with_exact_l2(const data::XmlDataset& dataset,
+                                     const core::TrainerConfig& cfg,
+                                     std::size_t gpus,
+                                     const fault::FaultPlan& plan) {
+  core::MultiGpuRuntime rt(dataset, cfg, sim::v100_heterogeneous(gpus));
+  fault::FaultInjector(plan).arm(rt);
+  std::vector<core::GpuSgdState> sgd(
+      gpus, core::GpuSgdState{cfg.batch_max, cfg.learning_rate, 0});
+  const std::size_t mega = cfg.megabatch_samples();
+  const auto& info = rt.model_info();
+  std::vector<std::uint32_t> all_rows(info.input_rows());
+  for (std::size_t r = 0; r < all_rows.size(); ++r) {
+    all_rows[r] = static_cast<std::uint32_t>(r);
+  }
+  const auto& global = rt.global_model();
+  ExactGateReplay out;
+  for (std::size_t m = 1; m <= cfg.num_megabatches; ++m) {
+    for (auto& s : sgd) s.updates = 0;
+    for (std::size_t assigned = 0; assigned < mega;) {
+      const std::size_t g = rt.next_free_gpu();
+      const std::size_t b = std::min(sgd[g].batch_size, mega - assigned);
+      assigned += b;
+      try {
+        rt.run_update_step(g, rt.next_batch(b), sgd[g].learning_rate,
+                           rt.gpu_free_at(g));
+      } catch (const sim::DeviceUnavailable&) {
+        continue;
+      }
+      sgd[g].updates += 1;
+    }
+    double all_free = 0.0;
+    for (std::size_t g = 0; g < gpus; ++g) {
+      all_free = std::max(all_free, rt.gpu(g).device_free_at());
+    }
+    rt.math_barrier();
+    rt.apply_crashes_until(all_free);
+    core::MergeInputs inputs;
+    inputs.pert_threshold = cfg.pert_threshold;
+    inputs.pert_delta = cfg.pert_delta;
+    inputs.enable_perturbation = cfg.enable_perturbation;
+    inputs.normalization = cfg.merge_normalization;
+    std::vector<std::size_t> alive;
+    double sync = 0.0;
+    for (std::size_t g = 0; g < gpus; ++g) {
+      if (!rt.replica_alive(g)) continue;
+      alive.push_back(g);
+      sync = std::max(sync, rt.gpu(g).device_free_at());
+      inputs.updates.push_back(sgd[g].updates);
+      inputs.batch_sizes.push_back(sgd[g].batch_size);
+      inputs.l2_per_param.push_back(rt.replica(g).l2_norm_per_parameter());
+    }
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      const nn::Model& replica = rt.replica(alive[i]);
+      const auto gate = core::certify_l2_below(
+          replica.segment_views(), global.segment_views(),
+          all_rows, info.input_cols(), global.l2_norm_per_parameter(),
+          cfg.pert_threshold);
+      if (gate == core::L2Gate::kNotBelow) break;
+      if (gate == core::L2Gate::kBelow) continue;
+      if (inputs.l2_per_param[i] >= cfg.pert_threshold) {
+        ++out.fallback_not_below;
+        break;
+      }
+      ++out.fallback_below;
+    }
+    const auto weights = core::compute_merge_weights(inputs);
+    out.perturbed += weights.perturbed ? 1 : 0;
+    out.l2.push_back(inputs.l2_per_param);
+    const auto timing = rt.merge_and_update(
+        core::expand_alive_weights(weights.alpha, alive, gpus), sync);
+    ++out.merges;
+    core::BatchScalingParams params;
+    params.batch_min = cfg.derived_batch_min();
+    params.batch_max = cfg.batch_max;
+    params.beta = cfg.derived_beta();
+    std::vector<core::GpuSgdState> alive_sgd;
+    for (const std::size_t g : alive) alive_sgd.push_back(sgd[g]);
+    core::scale_batch_sizes(alive_sgd, params);
+    for (std::size_t i = 0; i < alive.size(); ++i) sgd[alive[i]] = alive_sgd[i];
+    for (const std::size_t g : rt.apply_joins_until(timing.finish)) {
+      sgd[g] = core::GpuSgdState{cfg.batch_max, cfg.learning_rate, 0};
+    }
+  }
+  out.global = rt.global_model().to_flat();
+  return out;
+}
+
+TEST_F(FaultTest, PerturbationGateMatchesExactL2ReplayAcrossFallbacks) {
+  auto cfg = config();
+  cfg.sparse_merge = true;
+  cfg.num_megabatches = 8;
+  constexpr std::size_t kGpus = 4;
+
+  core::AdaptiveSgdTrainer healthy(dataset_, cfg,
+                                   sim::v100_heterogeneous(kGpus));
+  const double total = healthy.train().total_vtime;
+  fault::FaultPlan plan;
+  plan.events.push_back(
+      {fault::FaultKind::kCrash, 2, 0.3 * total, 0.0, 1.0, 0});
+  plan.events.push_back(
+      {fault::FaultKind::kJoin, 2, 0.55 * total, 0.0, 1.0, 0});
+
+  // Mega-batch 1 runs identically whatever the threshold, so a threshold
+  // just above its largest exact L2 value puts the largest replica where
+  // the bound cannot decide; the later merges then straddle it as the
+  // norms drift.
+  const auto first = replay_with_exact_l2(dataset_, cfg, kGpus, plan);
+  const auto& l2 = first.l2.front();
+  ASSERT_EQ(l2.size(), kGpus);
+  cfg.pert_threshold = std::nextafter(*std::max_element(l2.begin(), l2.end()),
+                                      1.0);
+  const auto exact = replay_with_exact_l2(dataset_, cfg, kGpus, plan);
+  // The decision changes across merges, and the exact sweep decides both
+  // ways: a fallback that answered either way without it fails below.
+  ASSERT_GT(exact.perturbed, 0u);
+  ASSERT_LT(exact.perturbed, exact.merges);
+  ASSERT_GT(exact.fallback_below, 0u);
+  ASSERT_GT(exact.fallback_not_below, 0u);
+  for (const auto mode :
+       {core::ExecutionMode::kDeterministic, core::ExecutionMode::kThreaded}) {
+    cfg.mode = mode;
+    core::AdaptiveSgdTrainer trainer(dataset_, cfg,
+                                     sim::v100_heterogeneous(kGpus));
+    fault::FaultInjector(plan).arm(trainer.runtime());
+    const auto result = trainer.train();
+    const bool threaded = mode == core::ExecutionMode::kThreaded;
+    EXPECT_EQ(result.faults.crashes, 1u);
+    EXPECT_EQ(result.faults.joins, 1u);
+    EXPECT_EQ(result.merges, exact.merges);
+    EXPECT_EQ(result.perturbed_merges, exact.perturbed)
+        << "threaded " << threaded;
+    EXPECT_EQ(trainer.runtime().global_model().to_flat(), exact.global)
+        << "threaded " << threaded;
+  }
+}
+
 // ---- OOM clamping (satellite 1) -------------------------------------------
 
 TEST_F(FaultTest, OomClampsBatchToLargestThatFits) {
@@ -551,57 +707,65 @@ TEST_F(FaultTest, ResumeFromCorruptFileIsTypedError) {
 }
 
 TEST_F(FaultTest, ResumedRunBitIdenticalToUninterrupted) {
-  auto cfg = config();
-  cfg.num_megabatches = 6;
-  cfg.adaptive_scaling_cadence = true;  // exercise the scheduler snapshot
+  // The sparse_merge variant also runs the certified perturbation gate,
+  // whose bound holds only because restore re-broadcasts the global model.
+  for (const bool sparse : {false, true}) {
+    auto cfg = config();
+    cfg.num_megabatches = 6;
+    cfg.adaptive_scaling_cadence = true;  // exercise the scheduler snapshot
+    cfg.sparse_merge = sparse;
 
-  // Uninterrupted reference.
-  core::AdaptiveSgdTrainer full(dataset_, cfg, sim::v100_heterogeneous(3));
-  const auto full_result = full.train();
+    // Uninterrupted reference.
+    core::AdaptiveSgdTrainer full(dataset_, cfg, sim::v100_heterogeneous(3));
+    const auto full_result = full.train();
+    EXPECT_GT(full_result.perturbed_merges, 0u) << "sparse=" << sparse;
 
-  // Interrupted run: stop after 3 mega-batches, checkpoint, resume.
-  auto cfg3 = cfg;
-  cfg3.num_megabatches = 3;
-  core::AdaptiveSgdTrainer first_half(dataset_, cfg3,
-                                      sim::v100_heterogeneous(3));
-  first_half.train();
-  const auto path = temp_path("fault_resume.ckpt");
-  fault::save_checkpoint_file(path, fault::capture_checkpoint(first_half));
+    // Interrupted run: stop after 3 mega-batches, checkpoint, resume.
+    auto cfg3 = cfg;
+    cfg3.num_megabatches = 3;
+    core::AdaptiveSgdTrainer first_half(dataset_, cfg3,
+                                        sim::v100_heterogeneous(3));
+    first_half.train();
+    const auto path = temp_path("fault_resume.ckpt");
+    fault::save_checkpoint_file(path, fault::capture_checkpoint(first_half));
 
-  core::AdaptiveSgdTrainer resumed(dataset_, cfg,
-                                   sim::v100_heterogeneous(3));
-  fault::restore_checkpoint(resumed, fault::load_checkpoint_file(path));
-  const auto resumed_result = resumed.train();
+    core::AdaptiveSgdTrainer resumed(dataset_, cfg,
+                                     sim::v100_heterogeneous(3));
+    fault::restore_checkpoint(resumed, fault::load_checkpoint_file(path));
+    const auto resumed_result = resumed.train();
 
-  // The resumed curve re-records the restored boundary, then continues with
-  // mega-batches 4..6 — every shared boundary must match bit-exactly.
-  ASSERT_EQ(resumed_result.curve.size(), 4u);
-  ASSERT_EQ(full_result.curve.size(), 7u);
-  for (std::size_t i = 0; i < resumed_result.curve.size(); ++i) {
-    const auto& r = resumed_result.curve[i];
-    const auto& f = full_result.curve[3 + i];
-    EXPECT_EQ(r.megabatch, f.megabatch);
-    EXPECT_DOUBLE_EQ(r.vtime, f.vtime) << "megabatch " << f.megabatch;
-    EXPECT_EQ(r.samples, f.samples);
-    EXPECT_DOUBLE_EQ(r.top1, f.top1) << "megabatch " << f.megabatch;
-    EXPECT_DOUBLE_EQ(r.top5, f.top5);
-    EXPECT_DOUBLE_EQ(r.test_loss, f.test_loss);
-    if (i > 0) {
-      EXPECT_DOUBLE_EQ(r.train_loss, f.train_loss);
+    // The resumed curve re-records the restored boundary, then continues
+    // with mega-batches 4..6 — every shared boundary must match bit-exactly.
+    ASSERT_EQ(resumed_result.curve.size(), 4u);
+    ASSERT_EQ(full_result.curve.size(), 7u);
+    for (std::size_t i = 0; i < resumed_result.curve.size(); ++i) {
+      const auto& r = resumed_result.curve[i];
+      const auto& f = full_result.curve[3 + i];
+      EXPECT_EQ(r.megabatch, f.megabatch);
+      EXPECT_DOUBLE_EQ(r.vtime, f.vtime) << "megabatch " << f.megabatch;
+      EXPECT_EQ(r.samples, f.samples);
+      EXPECT_DOUBLE_EQ(r.top1, f.top1) << "megabatch " << f.megabatch;
+      EXPECT_DOUBLE_EQ(r.top5, f.top5);
+      EXPECT_DOUBLE_EQ(r.test_loss, f.test_loss);
+      if (i > 0) {
+        EXPECT_DOUBLE_EQ(r.train_loss, f.train_loss);
+      }
     }
+    EXPECT_EQ(resumed.runtime().global_model().to_flat(),
+              full.runtime().global_model().to_flat())
+        << "sparse=" << sparse;
+    EXPECT_EQ(resumed.runtime().prev_global_model().to_flat(),
+              full.runtime().prev_global_model().to_flat())
+        << "sparse=" << sparse;
+    const auto& sgd_full = full.sgd_state();
+    const auto& sgd_resumed = resumed.sgd_state();
+    for (std::size_t g = 0; g < sgd_full.size(); ++g) {
+      EXPECT_EQ(sgd_resumed[g].batch_size, sgd_full[g].batch_size);
+      EXPECT_DOUBLE_EQ(sgd_resumed[g].learning_rate,
+                       sgd_full[g].learning_rate);
+    }
+    std::remove(path.c_str());
   }
-  EXPECT_EQ(resumed.runtime().global_model().to_flat(),
-            full.runtime().global_model().to_flat());
-  EXPECT_EQ(resumed.runtime().prev_global_model().to_flat(),
-            full.runtime().prev_global_model().to_flat());
-  const auto& sgd_full = full.sgd_state();
-  const auto& sgd_resumed = resumed.sgd_state();
-  for (std::size_t g = 0; g < sgd_full.size(); ++g) {
-    EXPECT_EQ(sgd_resumed[g].batch_size, sgd_full[g].batch_size);
-    EXPECT_DOUBLE_EQ(sgd_resumed[g].learning_rate,
-                     sgd_full[g].learning_rate);
-  }
-  std::remove(path.c_str());
 }
 
 // ---- compressed-merge state in checkpoints (format v2) --------------------
@@ -1071,6 +1235,23 @@ TEST_F(FaultTest, CheckpointV3RoundTripsOptimizerState) {
   EXPECT_EQ(ckpt.opt_num_slots, 2u);
   EXPECT_EQ(ckpt.opt_has_row_steps, 1u);
   ASSERT_EQ(ckpt.opt_replicas.size(), 3u);
+  // The capture holds each slot as the concatenation of its segment views.
+  for (std::size_t g = 0; g < 3; ++g) {
+    auto& opt = trainer.runtime().optimizer(g);
+    const auto steps = opt.row_steps();
+    EXPECT_TRUE(std::equal(steps.begin(), steps.end(),
+                           ckpt.opt_replicas[g].row_steps.begin(),
+                           ckpt.opt_replicas[g].row_steps.end()));
+    ASSERT_EQ(ckpt.opt_replicas[g].slots.size(), 2u);
+    for (std::size_t slot = 0; slot < 2; ++slot) {
+      std::vector<float> live;
+      for (const auto seg : opt.slot_views(slot)) {
+        live.insert(live.end(), seg.begin(), seg.end());
+      }
+      EXPECT_EQ(live, ckpt.opt_replicas[g].slots[slot])
+          << "replica " << g << " slot " << slot;
+    }
+  }
 
   std::ostringstream out(std::ios::binary);
   fault::save_checkpoint(out, ckpt);

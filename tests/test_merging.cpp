@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -289,6 +292,140 @@ TEST_P(RandomMergeSweep, MomentumUpdateIsLinear) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMergeSweep,
                          ::testing::Range<std::uint64_t>(50, 62));
+
+TEST(Merging, CallerDecidedGateOverridesL2) {
+  auto in = base_inputs();
+  in.updates = {30, 20, 25, 25};
+  in.l2_per_param.clear();  // not read once the gate is given
+  in.all_regularized = true;
+  EXPECT_TRUE(compute_merge_weights(in).perturbed);
+  in.l2_per_param = {0.01, 0.01, 0.01, 0.01};
+  in.all_regularized = false;
+  EXPECT_FALSE(compute_merge_weights(in).perturbed);
+}
+
+// ---- certified perturbation gate -------------------------------------------
+
+// A two-segment model by hand: an 8 x 4 sparse input layer (segment 0) and
+// a 5-float dense tail.
+struct GateModel {
+  static constexpr std::size_t kRows = 8;
+  static constexpr std::size_t kCols = 4;
+  std::vector<float> w1 = std::vector<float>(kRows * kCols);
+  std::vector<float> tail = std::vector<float>(5);
+
+  std::vector<std::span<const float>> segments() const { return {w1, tail}; }
+
+  /// ||w||_2 / P, summed like Model::l2_norm_per_parameter.
+  double l2() const {
+    double ss = 0.0;
+    for (const float v : w1) ss += static_cast<double>(v) * v;
+    for (const float v : tail) ss += static_cast<double>(v) * v;
+    return std::sqrt(ss) / static_cast<double>(w1.size() + tail.size());
+  }
+};
+
+GateModel random_gate_model(util::Rng& rng) {
+  GateModel m;
+  for (auto& v : m.w1) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (auto& v : m.tail) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return m;
+}
+
+L2Gate gate(const GateModel& replica, const GateModel& global,
+            std::vector<std::uint32_t> touched, double threshold) {
+  return certify_l2_below(replica.segments(), global.segments(), touched,
+                          GateModel::kCols, global.l2(), threshold);
+}
+
+TEST(CertifiedGate, DecidesFarFromTheThresholdAndDefersWithinTheSlack) {
+  util::Rng rng(3);
+  const auto global = random_gate_model(rng);
+  auto replica = global;
+  replica.w1[2 * GateModel::kCols + 1] += 0.05f;  // rows 2 and 5 trained
+  replica.w1[5 * GateModel::kCols + 3] -= 0.05f;
+  const double exact = replica.l2();
+  EXPECT_EQ(gate(replica, global, {2, 5}, 10.0 * exact), L2Gate::kBelow);
+  EXPECT_EQ(gate(replica, global, {2, 5}, 0.1 * exact), L2Gate::kNotBelow);
+  // At the exact value the bound straddles the threshold: the exact test
+  // (exact < exact is false) must decide, not the bound.
+  EXPECT_EQ(gate(replica, global, {2, 5}, exact), L2Gate::kUndecided);
+  EXPECT_EQ(gate(replica, global, {2, 5}, exact * (1.0 + 1e-7)),
+            L2Gate::kUndecided);
+  EXPECT_EQ(gate(replica, global, {2, 5}, exact * (1.0 - 1e-7)),
+            L2Gate::kUndecided);
+}
+
+TEST(CertifiedGate, NoTouchedRowsLeavesOnlyTheSlack) {
+  util::Rng rng(4);
+  const auto global = random_gate_model(rng);
+  const auto replica = global;  // fresh from the broadcast
+  const double exact = replica.l2();
+  EXPECT_EQ(gate(replica, global, {}, exact * (1.0 + 1e-5)), L2Gate::kBelow);
+  EXPECT_EQ(gate(replica, global, {}, exact * (1.0 - 1e-5)),
+            L2Gate::kNotBelow);
+  EXPECT_EQ(gate(replica, global, {}, exact), L2Gate::kUndecided);
+}
+
+TEST(CertifiedGate, CountsAChangedDenseTail) {
+  util::Rng rng(5);
+  const auto global = random_gate_model(rng);
+  auto replica = global;
+  for (auto& v : replica.tail) v *= 8.0f;  // no W1 row touched
+  const double exact = replica.l2();
+  ASSERT_GT(exact, 1.5 * global.l2());
+  // Between the two norms: a gate that skipped the tail would see a replica
+  // equal to global and answer kBelow.
+  const double between = 0.5 * (global.l2() + exact);
+  EXPECT_NE(gate(replica, global, {}, between), L2Gate::kBelow);
+  EXPECT_EQ(gate(replica, global, {}, 2.0 * exact), L2Gate::kBelow);
+}
+
+TEST(CertifiedGate, TouchedRowEqualToGlobalAddsNothing) {
+  util::Rng rng(6);
+  const auto global = random_gate_model(rng);
+  const auto replica = global;  // row 3 touched, then stepped back to equal
+  const double exact = replica.l2();
+  for (const double f : {1.0 + 1e-5, 1.0, 1.0 - 1e-5}) {
+    EXPECT_EQ(gate(replica, global, {3}, exact * f),
+              gate(replica, global, {}, exact * f))
+        << "threshold factor " << f;
+  }
+  EXPECT_EQ(gate(replica, global, {3}, exact * (1.0 + 1e-5)),
+            L2Gate::kBelow);
+}
+
+// The gate's whole contract: a decided answer always equals the exact test,
+// here at thresholds a few slack widths from the exact value and far away.
+TEST(CertifiedGate, NeverContradictsTheExactTest) {
+  util::Rng rng(7);
+  std::size_t decided = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto global = random_gate_model(rng);
+    auto replica = global;
+    std::vector<std::uint32_t> touched;
+    for (std::uint32_t r = 0; r < GateModel::kRows; ++r) {
+      if (!rng.bernoulli(0.3)) continue;
+      touched.push_back(r);
+      const float step = static_cast<float>(rng.uniform(-0.2, 0.2));
+      for (std::size_t c = 0; c < GateModel::kCols; ++c) {
+        replica.w1[r * GateModel::kCols + c] += step;
+      }
+    }
+    if (rng.bernoulli(0.5)) replica.tail[0] += 0.1f;
+    const double exact = replica.l2();
+    for (const double f : {0.5, 1.0 - 1e-5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6,
+                           1.0 + 1e-5, 2.0}) {
+      const double thr = exact * f;
+      const auto answer = gate(replica, global, touched, thr);
+      if (answer == L2Gate::kUndecided) continue;
+      ++decided;
+      EXPECT_EQ(answer == L2Gate::kBelow, exact < thr)
+          << "trial " << trial << " threshold factor " << f;
+    }
+  }
+  EXPECT_GT(decided, 0u);
+}
 
 }  // namespace
 }  // namespace hetero::core

@@ -92,6 +92,20 @@ TEST(Serialize, V1BytesArePinned) {
   EXPECT_EQ(got, expected);
 }
 
+// The in-memory blob and the stream writer are one format, for v1 (one
+// hidden layer) and v2 (a layer list).
+TEST(Serialize, BlobEqualsStreamedBytes) {
+  nn::Model deep(20, {10, 7}, 9);
+  util::Rng rng(8);
+  deep.init(rng);
+  for (const nn::Model& model : {small_model(), deep}) {
+    std::ostringstream out(std::ios::binary);
+    nn::save_model(out, model);
+    EXPECT_EQ(nn::model_blob(model), out.str())
+        << model.info().hidden.size() << " hidden layer(s)";
+  }
+}
+
 TEST(Serialize, DeepModelRoundTripsAsV2) {
   nn::Model model(20, {10, 7}, 9);
   util::Rng rng(6);

@@ -204,17 +204,21 @@ TEST_F(VecBitIdentity, Reductions) {
     const float f_ref = scalar_.dot_f32(x.data(), y.data(), n);
     const double d_ref = scalar_.dot_f64(x.data(), y.data(), n);
     const double s_ref = scalar_.sum_squares(x.data(), n);
+    const double q_ref = scalar_.squared_distance(x.data(), y.data(), n);
     for (const auto isa : isas_) {
       const auto& vk = *vec::kernels_for(isa);
       const float f = vk.dot_f32(x.data(), y.data(), n);
       const double d = vk.dot_f64(x.data(), y.data(), n);
       const double s = vk.sum_squares(x.data(), n);
+      const double q = vk.squared_distance(x.data(), y.data(), n);
       EXPECT_EQ(0, std::memcmp(&f_ref, &f, sizeof(float)))
           << "dot_f32 on " << vec::isa_name(isa) << " at n=" << n;
       EXPECT_EQ(0, std::memcmp(&d_ref, &d, sizeof(double)))
           << "dot_f64 on " << vec::isa_name(isa) << " at n=" << n;
       EXPECT_EQ(0, std::memcmp(&s_ref, &s, sizeof(double)))
           << "sum_squares on " << vec::isa_name(isa) << " at n=" << n;
+      EXPECT_EQ(0, std::memcmp(&q_ref, &q, sizeof(double)))
+          << "squared_distance on " << vec::isa_name(isa) << " at n=" << n;
     }
   }
 }
