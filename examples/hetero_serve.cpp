@@ -14,6 +14,11 @@
 //   # Dump the final snapshot for later standalone serving:
 //   ./build/examples/hetero_serve --dump-snapshot model.hgpu
 //
+// A free worker serves the whole queued backlog (up to --max-batch) as one
+// wave at once; it never holds a request to wait for more. Past
+// --queue-cap, requests are shed with --latency-budget-us as their
+// retry_after_us hint.
+//
 // Queries are test-split rows of the same synthetic XML dataset the
 // training stack uses. Exit codes follow hetero_train: 2 = bad input
 // (ParseError), 3 = internal error.

@@ -31,9 +31,6 @@ Server::Server(SnapshotStore& store, ServerConfig cfg)
         "(or publish_from_file) before starting the server");
   }
   num_features_ = snap->info().num_features;
-  // Neutral prior: a full wave spread evenly over half the latency budget.
-  ewma_interarrival_us_ = static_cast<double>(cfg_.latency_budget_us) / 2.0 /
-                          static_cast<double>(cfg_.max_batch);
   pool_ = std::make_unique<util::ThreadPool>(cfg_.workers);
   worker_done_.reserve(cfg_.workers);
   for (std::size_t i = 0; i < cfg_.workers; ++i) {
@@ -66,28 +63,11 @@ std::future<Response> Server::submit(Request req) {
       promise.set_value(std::move(r));
       return fut;
     }
-    if (saw_arrival_) {
-      const auto dt = static_cast<double>(elapsed_us(last_arrival_, now));
-      ewma_interarrival_us_ = 0.8 * ewma_interarrival_us_ + 0.2 * dt;
-    }
-    last_arrival_ = now;
-    saw_arrival_ = true;
     accepted_.fetch_add(1, std::memory_order_relaxed);
     queue_.push_back(Pending{std::move(req), std::move(promise), now});
   }
   cv_.notify_one();
   return fut;
-}
-
-std::chrono::microseconds Server::wave_window(std::size_t backlog) const {
-  // Caller holds mutex_. A backlog already covering a wave means batching
-  // costs nothing to wait for — go immediately.
-  if (backlog >= cfg_.max_batch) return std::chrono::microseconds(0);
-  const double cap = static_cast<double>(cfg_.latency_budget_us) / 2.0;
-  const double want = ewma_interarrival_us_ *
-                      static_cast<double>(cfg_.max_batch - backlog);
-  return std::chrono::microseconds(
-      static_cast<std::int64_t>(std::min(cap, want)));
 }
 
 void Server::worker_loop() {
@@ -100,19 +80,10 @@ void Server::worker_loop() {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop requested and queue drained
-      const auto window = wave_window(queue_.size());
-      wave.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      const auto deadline = Clock::now() + window;
-      while (wave.size() < cfg_.max_batch) {
-        if (!queue_.empty()) {
-          wave.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-          continue;
-        }
-        if (stop_) break;
-        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-        if (Clock::now() >= deadline) break;
+      const std::size_t n = std::min(queue_.size(), cfg_.max_batch);
+      for (std::size_t i = 0; i < n; ++i) {
+        wave.push_back(std::move(queue_.front()));
+        queue_.pop_front();
       }
     }
 

@@ -4,14 +4,12 @@
 // MPMC queue and serve them against the SnapshotStore's current snapshot.
 // Three policies from DESIGN.md §12:
 //
-//   Adaptive micro-batching — a worker that picks up a request keeps
-//   collecting queued requests into one wave (a single CSR spmm forward)
-//   until either max_batch requests are gathered or an adaptive window
-//   expires. The window tracks the arrival rate (EWMA of interarrival
-//   times, the serving analogue of the Algorithm-1 batch scaler: size the
-//   batch to what the traffic actually delivers) and is clamped to half
-//   the latency budget so batching can never consume the whole budget.
-//   When the backlog already covers a full wave the window is zero.
+//   Work-conserving waves — a worker that wakes takes every queued
+//   request, up to max_batch, into one wave (a single CSR spmm forward)
+//   and starts it at once; it never waits for more arrivals. A wave's
+//   compute grows linearly with its size and has little fixed cost
+//   (DESIGN.md §12), so holding a wave open would only add queue wait.
+//   Waves grow from backlog that built up while every worker was busy.
 //
 //   Backpressure — once the queue holds queue_cap requests, submissions
 //   are shed synchronously: the future resolves immediately with
@@ -49,6 +47,8 @@ struct ServerConfig {
   std::size_t workers = 2;
   std::size_t max_batch = 8;           // wave size cap
   std::size_t queue_cap = 1024;        // backpressure threshold
+  // Returned to shed requests as Response::retry_after_us; waves do not
+  // wait on it (they start as soon as a worker is free).
   std::uint64_t latency_budget_us = 2000;
   std::size_t topk = 5;                // default k (Request::k = 0)
   bool use_lsh = false;                // SLIDE candidate path
@@ -126,7 +126,6 @@ class Server {
   };
 
   void worker_loop();
-  std::chrono::microseconds wave_window(std::size_t backlog) const;
 
   SnapshotStore& store_;
   ServerConfig cfg_;
@@ -136,9 +135,6 @@ class Server {
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   bool stop_ = false;
-  double ewma_interarrival_us_ = 0.0;  // guarded by mutex_
-  Clock::time_point last_arrival_;     // guarded by mutex_
-  bool saw_arrival_ = false;           // guarded by mutex_
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> served_{0};

@@ -98,7 +98,9 @@ std::vector<std::size_t> ArgParser::get_size_list(
 bool ArgParser::get_bool(const std::string& name, bool def) {
   auto v = take(name);
   if (!v) return def;
-  return *v == "true" || *v == "1" || *v == "yes";
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  throw ParseError("cli: flag --" + name, "'" + *v + "' is not a boolean");
 }
 
 bool ArgParser::report_unknown() const {

@@ -31,6 +31,9 @@ class ArgParser {
   /// hetero::ParseError naming the flag, instead of wrapping it to ~2^64.
   std::size_t get_size(const std::string& name, std::size_t def);
   double get_double(const std::string& name, double def);
+  /// A switch: the bare --flag form or true/1/yes is true, false/0/no is
+  /// false; any other value throws hetero::ParseError naming the flag, so
+  /// "--lsh=on" cannot silently turn the switch off.
   bool get_bool(const std::string& name, bool def);
 
   /// Comma-separated size list, e.g. --hidden 256,128,64. Throws

@@ -70,7 +70,7 @@ TEST(FuzzCli, ArgParserGettersNeverCrash) {
       "--megabatches 6 --batch-max -1 --kernel-threads=4",
   });
   const fuzz::Mutator mutator({"--", "=", " ", "-", ".", "gpus", "lr",
-                               "hidden", "true", "1e999", "nan", ",",
+                               "hidden", "true", "on", "1e999", "nan", ",",
                                "megabatches", "-1",
                                "9223372036854775808"});
   auto opts = fuzz::Options::from_env({});

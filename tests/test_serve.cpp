@@ -1,6 +1,6 @@
 // Online-serving subsystem tests: deterministic top-k tie-breaking,
 // snapshot/checkpoint bit-identity, serving from v1/v2/v3 checkpoints,
-// hot-swap under concurrent readers (TSan target), adaptive micro-batching,
+// hot-swap under concurrent readers (TSan target), work-conserving waves,
 // backpressure shedding, and the SLIDE candidate path.
 #include <gtest/gtest.h>
 
@@ -339,6 +339,23 @@ TEST_F(ServeTest, MicroBatchingServesEveryRequestWithBoundedWaves) {
   EXPECT_EQ(stats.exact_rows, n);
   EXPECT_GE(stats.waves, (n + cfg.max_batch - 1) / cfg.max_batch);
   EXPECT_LE(stats.waves, n);
+}
+
+TEST_F(ServeTest, LoneRequestIsNotHeldForAWindow) {
+  // A worker starts a wave as soon as it holds a request: a lone request is
+  // served at once, not held for arrivals that never come, however large
+  // the latency budget.
+  serve::SnapshotStore store;
+  publish_initial(store);
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 8;
+  cfg.latency_budget_us = 4'000'000;
+  serve::Server server(store, cfg);
+  const auto r = server.submit(request_for_row(0)).get();
+  EXPECT_FALSE(r.shed);
+  EXPECT_EQ(r.wave_size, 1u);
+  EXPECT_LT(r.service_us, 500'000u);
 }
 
 TEST_F(ServeTest, RequestKOverridesConfigTopk) {

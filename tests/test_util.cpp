@@ -270,6 +270,24 @@ TEST(Cli, BooleanFlag) {
   EXPECT_FALSE(args.get_bool("quiet", false));
 }
 
+TEST(Cli, BooleanValuesAreStrict) {
+  const char* argv[] = {"prog",    "--a=true", "--b=false", "--c=1",
+                        "--d=0",   "--e=yes",  "--f=no",    "--g=on"};
+  ArgParser args(8, argv);
+  EXPECT_TRUE(args.get_bool("a", false));
+  EXPECT_FALSE(args.get_bool("b", true));
+  EXPECT_TRUE(args.get_bool("c", false));
+  EXPECT_FALSE(args.get_bool("d", true));
+  EXPECT_TRUE(args.get_bool("e", false));
+  EXPECT_FALSE(args.get_bool("f", true));
+  try {
+    args.get_bool("g", false);
+    FAIL() << "--g=on was accepted";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "cli: flag --g: 'on' is not a boolean");
+  }
+}
+
 TEST(Cli, DefaultsWhenMissing) {
   const char* argv[] = {"prog"};
   ArgParser args(1, argv);
