@@ -2,8 +2,8 @@
 //
 // Phase 1 (freshness): an adaptive training run publishes a snapshot at
 // every merge boundary while open-loop Poisson traffic at --qps queries the
-// server. Records latency, shed count and the model-freshness lag observed
-// per response.
+// server. Records latency, shed count and the first and last snapshot
+// versions served.
 //
 // Phase 2 (recall and single-query cost): on the final snapshot, every
 // recall-probe query is answered twice, single-threaded — exact
@@ -96,8 +96,6 @@ struct Point {
   double late_p50_us = 0.0;
   std::uint64_t first_version = 0;
   std::uint64_t last_version = 0;
-  double freshness_mean_vs = 0.0;
-  double freshness_max_vs = 0.0;
 };
 
 // Open-loop Poisson arrivals at `qps` from this thread against a fresh
@@ -136,7 +134,7 @@ Point run_traffic(serve::SnapshotStore& store, const serve::ServerConfig& scfg,
   Point p;
   p.offered_qps = qps;
   p.requests = requests;
-  std::vector<double> latency, queue, wave, freshness;
+  std::vector<double> latency, queue, wave;
   for (std::size_t i = 0; i < requests; ++i) {
     serve::Response resp;
     try {
@@ -157,7 +155,6 @@ Point run_traffic(serve::SnapshotStore& store, const serve::ServerConfig& scfg,
     latency.push_back(late_us[i] + service);
     queue.push_back(queued);
     wave.push_back(service - queued);
-    freshness.push_back(resp.freshness_lag);
   }
   const double seconds = us_between(start, Clock::now()) / 1e6;
   server.stop();
@@ -174,10 +171,6 @@ Point run_traffic(serve::SnapshotStore& store, const serve::ServerConfig& scfg,
                                  : static_cast<double>(stats.served) /
                                        static_cast<double>(stats.waves);
   p.late_p50_us = util::quantile(late_us, 0.5);
-  p.freshness_mean_vs = mean(freshness);
-  p.freshness_max_vs =
-      freshness.empty() ? 0.0
-                        : *std::max_element(freshness.begin(), freshness.end());
   return p;
 }
 
@@ -290,9 +283,7 @@ int main(int argc, char** argv) {
     training.join();
   }
   print_point("freshness", fresh);
-  std::printf("freshness lag: mean %.4fs max %.4fs (virtual time), versions "
-              "%llu..%llu\n",
-              fresh.freshness_mean_vs, fresh.freshness_max_vs,
+  std::printf("snapshot versions served: %llu..%llu\n",
               static_cast<unsigned long long>(fresh.first_version),
               static_cast<unsigned long long>(fresh.last_version));
 
@@ -396,9 +387,7 @@ int main(int argc, char** argv) {
       << ",\"freshness\":";
   write_point(out, fresh);
   out << ",\"first_version\":" << fresh.first_version
-      << ",\"last_version\":" << fresh.last_version
-      << ",\"freshness_mean_vs\":" << fresh.freshness_mean_vs
-      << ",\"freshness_max_vs\":" << fresh.freshness_max_vs << "}"
+      << ",\"last_version\":" << fresh.last_version << "}"
       << ",\"recall\":{\"queries\":" << recall_queries
       << ",\"mean\":" << mean_recall << ",\"min\":" << min_recall
       << ",\"exact_fallbacks\":" << fallback_rows << "},\"sweep\":[";

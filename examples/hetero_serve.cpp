@@ -159,7 +159,6 @@ int run(int argc, char** argv) {
   std::vector<double> latencies_us;
   std::vector<serve::Response> sample;
   std::size_t shed = 0;
-  double last_freshness = 0.0;
   std::uint64_t last_version = 0;
   for (auto& f : futures) {
     auto resp = f.get();
@@ -168,7 +167,6 @@ int run(int argc, char** argv) {
       continue;
     }
     latencies_us.push_back(static_cast<double>(resp.service_us));
-    last_freshness = resp.freshness_lag;
     last_version = resp.snapshot_version;
     if (sample.size() < 3) sample.push_back(std::move(resp));
   }
@@ -207,8 +205,8 @@ int run(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.lsh_rows),
                 static_cast<unsigned long long>(stats.lsh_fallback_rows));
   }
-  std::printf("final snapshot version %llu, freshness lag %.4fs (vtime)\n",
-              static_cast<unsigned long long>(last_version), last_freshness);
+  std::printf("final snapshot version %llu\n",
+              static_cast<unsigned long long>(last_version));
 
   if (!dump_snapshot.empty()) {
     store.dump_current(dump_snapshot);

@@ -322,12 +322,13 @@ int run(int argc, char** argv) {
     }
     auto trainer = core::make_trainer(method, dataset, cfg, devices);
 
+    // Elastic SGD runs on the adaptive loop, so it checkpoints the same way.
     auto* adaptive = dynamic_cast<core::AdaptiveSgdTrainer*>(trainer.get());
     if ((checkpoint_every > 0 || !resume_from.empty()) &&
         adaptive == nullptr) {
       std::fprintf(stderr,
                    "--checkpoint-every/--resume-from support --method "
-                   "adaptive only\n");
+                   "adaptive and elastic only\n");
       return 1;
     }
     // Resume before arming the fault plan: membership events already
@@ -355,8 +356,26 @@ int run(int argc, char** argv) {
     }
     if (!fault_plan_spec.empty()) {
       try {
-        fault::FaultInjector(fault::FaultPlan::parse(fault_plan_spec))
-            .arm(trainer->runtime(), resumed_vtime);
+        const auto plan = fault::FaultPlan::parse(fault_plan_spec);
+        // The asynchronous and CROSSBOW loops keep every device a member:
+        // refuse membership changes instead of failing mid-run.
+        if (method == core::Method::kAsync ||
+            method == core::Method::kCrossbow) {
+          for (const auto& ev : plan.events) {
+            if (ev.kind == fault::FaultKind::kCrash ||
+                ev.kind == fault::FaultKind::kJoin ||
+                ev.kind == fault::FaultKind::kPartition) {
+              std::fprintf(stderr,
+                           "--fault-plan: --method %s does not support %s "
+                           "events (membership changes need adaptive, "
+                           "elastic or sync)\n",
+                           method_name.c_str(),
+                           fault::to_string(ev.kind).c_str());
+              return 1;
+            }
+          }
+        }
+        fault::FaultInjector(plan).arm(trainer->runtime(), resumed_vtime);
       } catch (const ParseError& e) {
         std::fprintf(stderr, "--fault-plan: %s\n", e.what());
         return 2;
@@ -371,7 +390,7 @@ int run(int argc, char** argv) {
       trainer->runtime().set_tracer(&tracer);
     }
     result = trainer->train();
-    if (adaptive != nullptr && cluster) {
+    if (method == core::Method::kAdaptive && cluster) {
       // Where Algorithm 1 converged each device: the interesting readout of
       // a heterogeneous cluster run (the CPU replica should sit far below
       // the GPUs).

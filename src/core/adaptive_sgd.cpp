@@ -7,11 +7,32 @@
 #include "util/logging.h"
 
 namespace hetero::core {
+namespace {
+
+TrainerConfig with_preset(TrainerConfig cfg, Method method) {
+  if (method == Method::kElastic) {
+    cfg.dynamic_scheduling = false;
+    cfg.enable_batch_scaling = false;
+    cfg.enable_perturbation = false;
+    cfg.adaptive_scaling_cadence = false;
+    cfg.warmup_megabatches = 0;
+    // Equal batch sizes make b/(n*b) the same double as 1.0/n.
+    cfg.merge_normalization = MergeNormalization::kBatchSize;
+  } else if (method != Method::kAdaptive) {
+    throw std::invalid_argument("adaptive loop cannot run " +
+                                to_string(method));
+  }
+  return cfg;
+}
+
+}  // namespace
 
 AdaptiveSgdTrainer::AdaptiveSgdTrainer(const data::XmlDataset& dataset,
                                        const TrainerConfig& cfg,
-                                       std::vector<sim::DeviceSpec> devices)
-    : Trainer(dataset, cfg, std::move(devices)) {
+                                       std::vector<sim::DeviceSpec> devices,
+                                       Method method)
+    : Trainer(dataset, with_preset(cfg, method), std::move(devices)),
+      method_(method) {
   sgd_.resize(runtime_.num_gpus());
   for (auto& s : sgd_) {
     // The initial batch size is b_max, chosen to maximize GPU utilization
@@ -34,8 +55,8 @@ void AdaptiveSgdTrainer::restore_progress(std::vector<GpuSgdState> sgd,
                                           std::size_t megabatch_index,
                                           std::size_t cursor) {
   if (sgd.size() != runtime_.num_gpus()) {
-    throw std::runtime_error(
-        "adaptive-sgd: checkpoint GPU count does not match runtime");
+    throw std::runtime_error(method_name() +
+                             ": checkpoint GPU count does not match runtime");
   }
   sgd_ = std::move(sgd);
   megabatch_index_ = megabatch_index;
@@ -65,6 +86,8 @@ void AdaptiveSgdTrainer::run_megabatch(TrainResult& result) {
   const double warmup = warmup_factor() * lr_schedule_factor();
 
   for (auto& s : sgd_) s.updates = 0;
+  // Elastic SGD hands every mega-batch's batches out from GPU 0 again.
+  if (method_ == Method::kElastic) round_robin_cursor_ = 0;
 
   // --- dynamic scheduling ---------------------------------------------------
   std::size_t assigned = 0;
@@ -73,14 +96,11 @@ void AdaptiveSgdTrainer::run_megabatch(TrainResult& result) {
     if (cfg_.dynamic_scheduling) {
       g = runtime_.next_free_gpu();
     } else {
-      std::size_t tried = 0;
-      do {
-        g = round_robin_cursor_++ % n;
-      } while (!runtime_.schedulable(g) && ++tried < n);
-      if (!runtime_.schedulable(g)) {
-        throw std::runtime_error(
-            "adaptive-sgd: no alive schedulable device");
-      }
+      // Static round-robin: a device that cannot take work (stalled past
+      // the horizon or crashed) forfeits its slot to the earliest-free
+      // survivor.
+      g = round_robin_cursor_++ % n;
+      if (!runtime_.schedulable(g)) g = runtime_.next_free_gpu();
     }
     const std::size_t b =
         std::min<std::size_t>(sgd_[g].batch_size, mega - assigned);
@@ -125,7 +145,7 @@ void AdaptiveSgdTrainer::run_megabatch(TrainResult& result) {
     sync = std::max(sync, runtime_.gpu(g).device_free_at());
   }
   if (alive.empty()) {
-    throw std::runtime_error("adaptive-sgd: all replicas crashed");
+    throw std::runtime_error(method_name() + ": all replicas crashed");
   }
 
   // --- normalized model merging (Algorithm 2) ---------------------------------

@@ -15,6 +15,11 @@
 //   3. Batch size scaling (Algorithm 1): b_i and lr_i move toward the
 //      steady state where every GPU performs the same number of updates.
 //      Replicas joining at this boundary restart at b_max afterwards.
+//
+// Method::kElastic is the Elastic SGD baseline (Section II): this loop with
+// static round-robin scheduling restarted every mega-batch, no batch
+// scaling or warmup and an unperturbed merge weighted by batch size, so a
+// mega-batch ends only when the slowest GPU finishes (the straggler problem).
 #pragma once
 
 #include "core/batch_scaling.h"
@@ -24,10 +29,12 @@ namespace hetero::core {
 
 class AdaptiveSgdTrainer final : public Trainer {
  public:
+  /// `method` is kAdaptive or kElastic (the preset above, applied to cfg).
   AdaptiveSgdTrainer(const data::XmlDataset& dataset, const TrainerConfig& cfg,
-                     std::vector<sim::DeviceSpec> devices);
+                     std::vector<sim::DeviceSpec> devices,
+                     Method method = Method::kAdaptive);
 
-  std::string method_name() const override { return "adaptive-sgd"; }
+  std::string method_name() const override { return to_string(method_); }
 
   /// Current per-GPU SGD state (exposed for tests / Fig. 6a traces).
   const std::vector<GpuSgdState>& sgd_state() const { return sgd_; }
@@ -58,6 +65,7 @@ class AdaptiveSgdTrainer final : public Trainer {
   /// rule). Returns false when no smaller batch exists.
   bool clamp_batch_to_memory(std::size_t g);
 
+  Method method_;
   std::vector<GpuSgdState> sgd_;
   ScalingScheduler scheduler_;
   std::size_t megabatch_index_ = 0;

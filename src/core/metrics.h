@@ -71,8 +71,8 @@ struct TrainResult {
   double comm_seconds = 0.0;         // virtual time in all-reduce/transfers
 
   /// Mean gradient staleness (updates applied by other GPUs between a
-  /// gradient's snapshot and its application). Nonzero only for the
-  /// asynchronous trainer.
+  /// gradient's snapshot and its application). Nonzero only for the SSP
+  /// and asynchronous trainers.
   double avg_staleness = 0.0;
 
   /// Fault-injection counters for the run (all zero on a healthy run).

@@ -16,6 +16,16 @@ ParamServerTrainer::ParamServerTrainer(const data::XmlDataset& dataset,
   local_clock_.resize(runtime_.num_gpus(), 0);
 }
 
+std::unique_ptr<ParamServerTrainer> ParamServerTrainer::make_async(
+    const data::XmlDataset& dataset, const TrainerConfig& cfg,
+    std::vector<sim::DeviceSpec> devices) {
+  auto trainer = std::make_unique<ParamServerTrainer>(
+      dataset, cfg, std::move(devices),
+      std::numeric_limits<std::size_t>::max());
+  trainer->host_model_ = false;
+  return trainer;
+}
+
 void ParamServerTrainer::dispatch(std::size_t g, double earliest) {
   auto& slot = in_flight_[g];
   slot.batch = runtime_.next_batch(cfg_.batch_max);
@@ -26,15 +36,17 @@ void ParamServerTrainer::dispatch(std::size_t g, double earliest) {
   // gradient back. All PS traffic contends on the host link. Compressed
   // merge precisions shrink both directions to the quantized wire size
   // (cost-only modeling).
-  const std::size_t model_bytes =
-      static_cast<std::size_t>(runtime_.virtual_model_wire().total());
-  const double pull = runtime_.links().transfer_seconds(
-      model_bytes, sim::LinkModel::kHost, static_cast<int>(g),
-      runtime_.num_gpus());
-  const double push = runtime_.links().transfer_seconds(
-      model_bytes, static_cast<int>(g), sim::LinkModel::kHost,
-      runtime_.num_gpus());
-
+  double pull = 0.0, push = 0.0;
+  if (host_model_) {
+    const std::size_t model_bytes =
+        static_cast<std::size_t>(runtime_.virtual_model_wire().total());
+    pull = runtime_.links().transfer_seconds(
+        model_bytes, sim::LinkModel::kHost, static_cast<int>(g),
+        runtime_.num_gpus());
+    push = runtime_.links().transfer_seconds(
+        model_bytes, static_cast<int>(g), sim::LinkModel::kHost,
+        runtime_.num_gpus());
+  }
   comm_accum_ += pull + push;
   const auto stats = runtime_.global_model().compute_gradients(
       slot.batch.x, slot.batch.y, gradients_[g]);
@@ -58,8 +70,9 @@ void ParamServerTrainer::run_megabatch(TrainResult& result) {
   };
   const auto may_dispatch = [&](std::size_t g) {
     // SSP window: a GPU may start its next update only if it is within
-    // `staleness_bound` updates of the slowest GPU.
-    return local_clock_[g] <= min_clock() + staleness_bound_;
+    // `staleness_bound` updates of the slowest GPU (compared as a
+    // difference, so an unbounded window cannot wrap).
+    return local_clock_[g] - min_clock() <= staleness_bound_;
   };
 
   for (std::size_t g = 0; g < n; ++g) {

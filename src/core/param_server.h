@@ -14,8 +14,13 @@
 //
 // With staleness_bound = 0 this degrades to synchronous gradient
 // aggregation over the host link; with a large bound it approaches the
-// fully asynchronous trainer. The sweep between the two extremes is the
+// fully asynchronous baseline. The sweep between the two extremes is the
 // classic SSP trade-off curve.
+//
+// That baseline (Method::kAsync, the Hogwild-style SGD of Section II) is
+// make_async(): no SSP window and a device-resident model, so no pull or
+// push. Its staleness statistics quantify the "poor convergence" risk the
+// paper notes.
 #pragma once
 
 #include <memory>
@@ -31,7 +36,14 @@ class ParamServerTrainer final : public Trainer {
                      std::vector<sim::DeviceSpec> devices,
                      std::size_t staleness_bound = 2);
 
-  std::string method_name() const override { return "ssp-ps"; }
+  /// The asynchronous preset described above; reports "async-sgd".
+  static std::unique_ptr<ParamServerTrainer> make_async(
+      const data::XmlDataset& dataset, const TrainerConfig& cfg,
+      std::vector<sim::DeviceSpec> devices);
+
+  std::string method_name() const override {
+    return host_model_ ? "ssp-ps" : "async-sgd";
+  }
 
   std::size_t staleness_bound() const { return staleness_bound_; }
 
@@ -52,6 +64,7 @@ class ParamServerTrainer final : public Trainer {
   void dispatch(std::size_t g, double earliest);
 
   std::size_t staleness_bound_;
+  bool host_model_ = true;  // false: device-resident, no pull or push
   std::vector<InFlight> in_flight_;
   std::vector<nn::ModelWorkspace> gradients_;
   std::vector<std::size_t> local_clock_;   // updates completed per GPU

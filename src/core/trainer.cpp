@@ -4,9 +4,8 @@
 #include <limits>
 
 #include "core/adaptive_sgd.h"
-#include "core/async_sgd.h"
 #include "core/crossbow_sma.h"
-#include "core/elastic_sgd.h"
+#include "core/param_server.h"
 #include "core/sync_sgd.h"
 
 namespace hetero::core {
@@ -129,8 +128,8 @@ std::unique_ptr<Trainer> make_trainer(Method method,
       return std::make_unique<AdaptiveSgdTrainer>(dataset, cfg,
                                                   std::move(devices));
     case Method::kElastic:
-      return std::make_unique<ElasticSgdTrainer>(dataset, cfg,
-                                                 std::move(devices));
+      return std::make_unique<AdaptiveSgdTrainer>(
+          dataset, cfg, std::move(devices), Method::kElastic);
     case Method::kSync:
       if (cfg.framework_overhead == 1.0) cfg.framework_overhead = 1.4;
       return std::make_unique<SyncSgdTrainer>(dataset, cfg,
@@ -139,8 +138,7 @@ std::unique_ptr<Trainer> make_trainer(Method method,
       return std::make_unique<CrossbowTrainer>(dataset, cfg,
                                                std::move(devices));
     case Method::kAsync:
-      return std::make_unique<AsyncSgdTrainer>(dataset, cfg,
-                                               std::move(devices));
+      return ParamServerTrainer::make_async(dataset, cfg, std::move(devices));
   }
   return nullptr;
 }

@@ -104,7 +104,6 @@ void Server::worker_loop() {
     if (!cfg_.use_lsh) snap->score_output(scratch);
 
     const std::uint64_t latest_version = store_.version();
-    const double latest_vtime = store_.latest_vtime();
     for (std::size_t i = 0; i < wave.size(); ++i) {
       Pending& p = wave[i];
       const std::size_t k = p.req.k != 0 ? p.req.k : cfg_.topk;
@@ -121,7 +120,6 @@ void Server::worker_loop() {
       }
       r.snapshot_version = snap->version();
       r.version_lag = latest_version - snap->version();
-      r.freshness_lag = latest_vtime - snap->vtime();
       r.wave_size = wave.size();
       r.queue_us = elapsed_us(p.enqueued, wave_start);
       r.service_us = elapsed_us(p.enqueued, Clock::now());

@@ -18,8 +18,8 @@
 //
 //   Hot-swap — each wave re-reads store.current(); a merge boundary
 //   publishing a new version is picked up by the next wave with no pause.
-//   Responses carry the snapshot version and freshness lag so clients can
-//   see how stale their answer is.
+//   Responses carry the snapshot version and how many versions it trails
+//   the store by, so clients can see how stale their answer is.
 //
 // Determinism: per-request results are bit-stable regardless of worker
 // count or how requests are grouped into waves, because every kernel on
@@ -63,10 +63,9 @@ struct Request {
 struct Response {
   std::vector<ScoredLabel> topk;
 
-  // Provenance / freshness.
+  // Provenance.
   std::uint64_t snapshot_version = 0;
-  std::uint64_t version_lag = 0;   // store version - serving version
-  double freshness_lag = 0.0;      // latest vtime - serving snapshot vtime
+  std::uint64_t version_lag = 0;  // store version - serving version
 
   // Path taken.
   bool lsh_path = false;      // scored LSH candidates only

@@ -177,7 +177,6 @@ std::shared_ptr<const ModelSnapshot> SnapshotStore::publish(
   const std::uint64_t v = version_.load(std::memory_order_relaxed) + 1;
   auto snap = std::make_shared<const ModelSnapshot>(global, v, vtime, lsh_);
   current_ = snap;
-  latest_vtime_.store(vtime, std::memory_order_release);
   // Bumped last: a version observed by refresh() has its snapshot in place.
   version_.store(v, std::memory_order_release);
   return snap;

@@ -70,7 +70,7 @@ class ModelSnapshot {
                 const LshParams& lsh);
 
   std::uint64_t version() const { return version_; }
-  /// Virtual training time at publication (freshness reference point).
+  /// Virtual training time at publication.
   double vtime() const { return vtime_; }
   const nn::ModelInfo& info() const { return model_.info(); }
   const nn::Model& model() const { return model_; }
@@ -173,12 +173,6 @@ class SnapshotStore {
     return version_.load(std::memory_order_acquire);
   }
 
-  /// Latest virtual training time reported by the publisher. Responses
-  /// report `latest_vtime() - snapshot->vtime()` as the freshness lag.
-  double latest_vtime() const {
-    return latest_vtime_.load(std::memory_order_acquire);
-  }
-
   /// Loads a model from `path` and publishes it. Accepts either an HGPU
   /// model blob (e.g. a dump_current() file) or an HGCK training
   /// checkpoint, sniffed by magic; a checkpoint also restores the virtual
@@ -195,7 +189,6 @@ class SnapshotStore {
   mutable std::mutex mutex_;
   std::shared_ptr<const ModelSnapshot> current_;  // guarded by mutex_
   std::atomic<std::uint64_t> version_{0};
-  std::atomic<double> latest_vtime_{0.0};
   LshParams lsh_;
 };
 

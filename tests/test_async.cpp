@@ -1,11 +1,13 @@
 // Asynchronous SGD baseline tests: staleness accounting and convergence
 // behavior (Section II: async avoids barriers but risks poor convergence).
-#include "core/async_sgd.h"
+#include "core/trainer.h"
 
 #include <gtest/gtest.h>
 
-#include "core/trainer.h"
 #include "data/synthetic.h"
+#include "fault/fault_injector.h"
+#include "fault/fault_plan.h"
+#include "pinned_run.h"
 #include "sim/profiles.h"
 
 namespace hetero::core {
@@ -117,6 +119,37 @@ TEST(AsyncSgd, MethodName) {
   auto t = make_trainer(Method::kAsync, dataset(), config(),
                         sim::v100_heterogeneous(2));
   EXPECT_EQ(t->method_name(), "async-sgd");
+}
+
+PinnedRun run_pinned(std::size_t gpus, const std::string& plan = "") {
+  auto trainer = make_trainer(Method::kAsync, dataset(), config(),
+                              sim::v100_heterogeneous(gpus));
+  if (!plan.empty()) {
+    fault::FaultInjector(fault::FaultPlan::parse(plan))
+        .arm(trainer->runtime());
+  }
+  const auto result = trainer->train();
+  return pin_run(*trainer, result);
+}
+
+// Asynchronous SGD's outputs, frozen bit for bit: model, virtual time,
+// staleness, curve and the per-GPU update counts of the event loop.
+TEST(AsyncSgd, PinnedFourGpus) {
+  const PinnedRun expected{
+      0x415f1c7c326bddacull, 0x3f8a0471c5c76668ull, 0x0ull,
+      0x4007400000000000ull, {0.03, 0.58, 0.405, 0.765, 0.705},
+      {{4, 5, 5, 4}, {4, 4, 4, 5}, {4, 4, 3, 4}, {4, 3, 4, 3}}};
+  EXPECT_EQ(run_pinned(4), expected);
+}
+
+TEST(AsyncSgd, PinnedStallAndSlowdown) {
+  const PinnedRun expected{
+      0x054b3aab6227e618ull, 0x3f925df1aac919efull, 0x0ull,
+      0x3fff400000000000ull, {0.03, 0.62, 0.7, 0.765, 0.82},
+      {{6, 8, 7, 6}, {5, 4, 5, 6}, {5, 4, 4, 4}}};
+  EXPECT_EQ(
+      run_pinned(3, "stall@0.004+0.003:gpu1;slow@0.006+0.005x0.5:gpu2"),
+      expected);
 }
 
 }  // namespace

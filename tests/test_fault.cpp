@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -505,6 +506,29 @@ TEST_F(FaultTest, OomClampsBatchToLargestThatFits) {
   EXPECT_EQ(result.curve.back().megabatch, cfg.num_megabatches);
 }
 
+// Elastic SGD runs on the adaptive loop, so an OOM window that bites clamps
+// its batch too instead of aborting the run. The merge weights follow the
+// batch sizes, so the clamped replica weighs less from then on.
+TEST_F(FaultTest, ElasticOomClampsInsteadOfAborting) {
+  auto cfg = config();
+  core::AdaptiveSgdTrainer trainer(dataset_, cfg, sim::v100_heterogeneous(2),
+                                   core::Method::kElastic);
+  auto& rt = trainer.runtime();
+  const double avg_nnz = dataset_.train.features.avg_row_nnz();
+  const auto cap = 2 * rt.global_model().num_bytes() +
+                   rt.global_model().step_memory_bytes(8, avg_nnz);
+  rt.gpu(1).add_memory_cap(0.0, std::numeric_limits<double>::infinity(), cap);
+
+  const auto result = trainer.train();
+  EXPECT_EQ(result.method, "elastic-sgd");
+  EXPECT_GE(result.faults.oom_clamps, 1u);
+  EXPECT_LT(trainer.sgd_state()[1].batch_size, cfg.batch_max);
+  EXPECT_EQ(result.curve.back().megabatch, cfg.num_megabatches);
+  for (const float v : rt.global_model().to_flat()) {
+    ASSERT_TRUE(std::isfinite(v));
+  }
+}
+
 // ---- crash + rejoin at the trainer level ----------------------------------
 
 TEST_F(FaultTest, CrashThenJoinShrinksAndRestoresMembership) {
@@ -764,6 +788,67 @@ TEST_F(FaultTest, ResumedRunBitIdenticalToUninterrupted) {
       EXPECT_DOUBLE_EQ(sgd_resumed[g].learning_rate,
                        sgd_full[g].learning_rate);
     }
+    std::remove(path.c_str());
+  }
+}
+
+// Elastic SGD is checkpointable through the adaptive trainer it runs on: a
+// run resumed at mega-batch 3 matches the uninterrupted one, also when a
+// replica crashes before the checkpoint and rejoins after it.
+TEST_F(FaultTest, ElasticResumedRunBitIdenticalToUninterrupted) {
+  auto cfg = config();
+  cfg.num_megabatches = 6;
+  const auto elastic = [&](const core::TrainerConfig& c) {
+    return std::make_unique<core::AdaptiveSgdTrainer>(
+        dataset_, c, sim::v100_heterogeneous(3), core::Method::kElastic);
+  };
+  const double span = elastic(cfg)->train().total_vtime;
+  fault::FaultPlan crash_join;
+  crash_join.events.push_back(
+      {fault::FaultKind::kCrash, 1, 0.25 * span, 0.0, 1.0, 0});
+  crash_join.events.push_back(
+      {fault::FaultKind::kJoin, 1, 0.65 * span, 0.0, 1.0, 0});
+
+  for (const auto& plan : {fault::FaultPlan{}, crash_join}) {
+    const auto label = plan.empty() ? "healthy" : "crash+join";
+    auto full = elastic(cfg);
+    fault::FaultInjector(plan).arm(full->runtime());
+    const auto full_result = full->train();
+    EXPECT_EQ(full_result.method, "elastic-sgd");
+    EXPECT_EQ(full_result.faults.joins, plan.empty() ? 0u : 1u) << label;
+
+    auto cfg3 = cfg;
+    cfg3.num_megabatches = 3;
+    auto first_half = elastic(cfg3);
+    fault::FaultInjector(plan).arm(first_half->runtime());
+    first_half->train();
+    const auto path = temp_path("fault_resume_elastic.ckpt");
+    fault::save_checkpoint_file(path, fault::capture_checkpoint(*first_half));
+
+    auto resumed = elastic(cfg);
+    const auto ckpt = fault::load_checkpoint_file(path);
+    if (!plan.empty()) {
+      ASSERT_EQ(ckpt.gpus[1].alive, 0u) << "the crash lands before the save";
+    }
+    fault::restore_checkpoint(*resumed, ckpt);
+    fault::FaultInjector(plan).arm(resumed->runtime(), ckpt.vtime);
+    const auto resumed_result = resumed->train();
+    EXPECT_EQ(resumed_result.faults.joins, full_result.faults.joins) << label;
+
+    ASSERT_EQ(resumed_result.curve.size(), 4u);
+    ASSERT_EQ(full_result.curve.size(), 7u);
+    for (std::size_t i = 0; i < resumed_result.curve.size(); ++i) {
+      const auto& r = resumed_result.curve[i];
+      const auto& f = full_result.curve[3 + i];
+      EXPECT_EQ(r.megabatch, f.megabatch) << label;
+      EXPECT_EQ(r.vtime, f.vtime) << label << " megabatch " << f.megabatch;
+      EXPECT_EQ(r.samples, f.samples) << label;
+      EXPECT_EQ(r.top1, f.top1) << label << " megabatch " << f.megabatch;
+      EXPECT_EQ(r.alive_gpus, f.alive_gpus) << label;
+    }
+    EXPECT_EQ(resumed->runtime().global_model().to_flat(),
+              full->runtime().global_model().to_flat())
+        << label;
     std::remove(path.c_str());
   }
 }

@@ -4,6 +4,9 @@
 
 #include "core/adaptive_sgd.h"
 #include "data/synthetic.h"
+#include "fault/fault_injector.h"
+#include "fault/fault_plan.h"
+#include "pinned_run.h"
 #include "sim/profiles.h"
 
 namespace hetero::core {
@@ -363,6 +366,42 @@ TEST(Trainers, WeightDecayRegularizesGlobalModel) {
   EXPECT_GT(decayed.final_top1(), 0.2);
   EXPECT_GE(decayed.perturbation_frequency(),
             plain.perturbation_frequency() - 1e-9);
+}
+
+PinnedRun run_pinned(Method method, const TrainerConfig& cfg,
+                     std::size_t gpus, const std::string& plan = "") {
+  auto trainer = make_trainer(method, tiny_dataset(), cfg,
+                              sim::v100_heterogeneous(gpus));
+  if (!plan.empty()) {
+    fault::FaultInjector(fault::FaultPlan::parse(plan))
+        .arm(trainer->runtime());
+  }
+  const auto result = trainer->train();
+  return pin_run(*trainer, result);
+}
+
+// Elastic SGD's outputs, frozen bit for bit. 18 batches per mega-batch is
+// not a multiple of 4 GPUs, so the static round-robin cursor matters.
+TEST(Trainers, ElasticPinnedFourGpusUnevenRoundRobin) {
+  auto cfg = fast_config();
+  cfg.batches_per_megabatch = 18;
+  const PinnedRun expected{
+      0x36267884c5d81d9eull, 0x3f8ea4c955c21f8aull, 0x3f49b329b2d11d64ull,
+      0x0ull, {0.03, 0.465, 0.555, 0.65, 0.74},
+      {{5, 5, 5, 5}, {5, 5, 5, 5}, {4, 4, 4, 4}, {4, 4, 4, 4}}};
+  EXPECT_EQ(run_pinned(Method::kElastic, cfg, 4), expected);
+}
+
+TEST(Trainers, ElasticPinnedSparseMergeCrashThenJoin) {
+  auto cfg = fast_config();
+  cfg.sparse_merge = true;
+  const PinnedRun expected{
+      0xcb730ed0701cce27ull, 0x3f9432f443f5c410ull, 0x3f3ec0e75a3f3459ull,
+      0x0ull, {0.03, 0.465, 0.61, 0.745, 0.735},
+      {{6, 7, 9, 6}, {5, 3, 0, 5}, {5, 6, 7, 5}}};
+  EXPECT_EQ(run_pinned(Method::kElastic, cfg, 3,
+                       "crash@0.006:gpu1;join@0.011:gpu1"),
+            expected);
 }
 
 class GpuCountSweep : public ::testing::TestWithParam<std::size_t> {};
