@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the real CPU kernels backing the
-// framework: sparse products, dense GEMM, softmax, SimHash, and the numeric
-// all-reduce path. These measure actual wall-clock (not virtual time) and
-// exist to keep the reference kernels honest as the code evolves.
+// framework: sparse products, dense GEMM, softmax and SimHash. These
+// measure actual wall-clock (not virtual time) and exist to keep the
+// reference kernels honest as the code evolves.
 //
 // The parallel-backend benchmarks sweep worker threads x batch sparsity for
 // the sparsity-aware hot path (spmm, touched-row gradient, full SGD step at
@@ -19,10 +19,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "comm/allreduce.h"
 #include "core/merging.h"
 #include "nn/model.h"
-#include "sim/profiles.h"
 #include "slide/simhash.h"
 #include "sparse/ops.h"
 #include "sparse/sparse_gradient.h"
@@ -490,27 +488,6 @@ void BM_SimHashSignature(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimHashSignature);
-
-void BM_WeightedAllReduceNumerics(benchmark::State& state) {
-  const auto len = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(10);
-  std::vector<std::vector<float>> replicas(4, std::vector<float>(len));
-  for (auto& r : replicas) {
-    for (auto& v : r) v = static_cast<float>(rng.uniform(-1, 1));
-  }
-  const std::vector<double> weights{0.3, 0.3, 0.2, 0.2};
-  comm::AllReducer reducer(comm::AllReduceAlgo::kRingMultiStream,
-                           sim::default_links(4), 4);
-  for (auto _ : state) {
-    std::vector<std::span<float>> views;
-    for (auto& r : replicas) views.emplace_back(r.data(), r.size());
-    reducer.weighted_average(views, weights);
-    benchmark::DoNotOptimize(replicas[0].data());
-  }
-  state.SetBytesProcessed(state.iterations() * 4 *
-                          static_cast<std::int64_t>(len) * sizeof(float));
-}
-BENCHMARK(BM_WeightedAllReduceNumerics)->Arg(1 << 16)->Arg(1 << 20);
 
 }  // namespace
 

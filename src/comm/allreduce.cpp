@@ -1,12 +1,11 @@
 #include "comm/allreduce.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "comm/collectives.h"
-#include "tensor/vec/vec.h"
 
 namespace hetero::comm {
 
@@ -26,91 +25,6 @@ AllReducer::AllReducer(AllReduceAlgo algo, sim::LinkModel links,
                        std::size_t num_streams)
     : algo_(algo), links_(std::move(links)),
       num_streams_(std::max<std::size_t>(1, num_streams)) {}
-
-namespace {
-
-// Accumulator block kept on the stack so the reduction streams each replica
-// once and never materializes a model-sized double buffer.
-constexpr std::size_t kReduceBlock = 512;
-
-// Reduces flat range [begin, end) of the concatenated segment space across
-// replicas: x_i[j] <- float(sum_i w_i x_i[j]). Replica 0 initializes the
-// accumulator and the remaining replicas are added in index order — the
-// fixed per-element order the determinism contract relies on.
-void reduce_flat_range(std::span<const SegmentedView> replicas,
-                       std::span<const double> weights, std::size_t begin,
-                       std::size_t end) {
-  const std::size_t n = replicas.size();
-  const std::size_t num_segments = replicas[0].size();
-  const auto& vk = vec::kernels();
-  std::size_t seg_start = 0;
-  for (std::size_t s = 0; s < num_segments && seg_start < end; ++s) {
-    const std::size_t seg_len = replicas[0][s].size();
-    const std::size_t seg_end = seg_start + seg_len;
-    const std::size_t lo = std::max(begin, seg_start);
-    const std::size_t hi = std::min(end, seg_end);
-    for (std::size_t o = lo; o < hi; o += kReduceBlock) {
-      const std::size_t len = std::min(kReduceBlock, hi - o);
-      const std::size_t off = o - seg_start;
-      double acc[kReduceBlock];
-      vk.merge_init(acc, replicas[0][s].data() + off, weights[0], len);
-      for (std::size_t i = 1; i < n; ++i) {
-        vk.merge_accum(acc, replicas[i][s].data() + off, weights[i], len);
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        vk.merge_store(acc, replicas[i][s].data() + off, len);
-      }
-    }
-    seg_start = seg_end;
-  }
-}
-
-}  // namespace
-
-AllReduceCost AllReducer::weighted_average(
-    std::vector<std::span<float>> replicas, std::span<const double> weights,
-    const kernels::Context& ctx) const {
-  std::vector<SegmentedView> segmented;
-  segmented.reserve(replicas.size());
-  for (auto& r : replicas) segmented.push_back(SegmentedView{r});
-  return weighted_average_segments(segmented, weights, ctx);
-}
-
-AllReduceCost AllReducer::weighted_average_segments(
-    std::span<const SegmentedView> replicas, std::span<const double> weights,
-    const kernels::Context& ctx) const {
-  assert(!replicas.empty());
-  assert(replicas.size() == weights.size());
-  const std::size_t num_segments = replicas[0].size();
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < num_segments; ++s) {
-    for (const auto& r : replicas) {
-      assert(r.size() == num_segments);
-      assert(r[s].size() == replicas[0][s].size());
-      (void)r;
-    }
-    total += replicas[0][s].size();
-  }
-  if (total > 0) {
-    // At least one shard per paper stream; more when the pool has idle
-    // workers. Shards partition elements, so any count is bit-identical.
-    const std::size_t work = total * replicas.size();
-    std::size_t shards = num_streams_;
-    if (ctx.should_parallelize(work)) {
-      shards = std::max(shards, ctx.workers_for(total));
-    }
-    shards = std::min(shards, total);
-    kernels::parallel_for_ranges(
-        ctx, shards, work, [&](std::size_t s0, std::size_t s1) {
-          for (std::size_t s = s0; s < s1; ++s) {
-            const std::size_t a = total * s / shards;
-            const std::size_t b = total * (s + 1) / shards;
-            reduce_flat_range(replicas, weights, a, b);
-          }
-        });
-  }
-  return cost(replicas.size(), total * sizeof(float));
-}
 
 AllReduceCost AllReducer::cost(std::size_t num_replicas,
                                std::size_t buffer_bytes,

@@ -1,10 +1,10 @@
-// Weighted all-reduce for model merging (Section IV, "All-reduce Model
+// All-reduce cost model for model merging (Section IV, "All-reduce Model
 // Merging").
 //
 // The paper implements specialized tree- and ring-based *multi-stream*
 // all-reduce aggregation because NCCL either lacks multi-stream support
 // (no transfer/compute overlap) or targets multi-server topologies. Three
-// algorithms are provided here:
+// algorithms are modelled here:
 //
 //   kCentral          — every GPU ships its replica to the host, the host
 //                       reduces and broadcasts back (parameter-server style;
@@ -20,29 +20,19 @@
 //                       num_streams == 1 this degrades to the classic
 //                       single-stream ring.
 //
-// Every algorithm computes the same numeric result:
-//     out = sum_i weights[i] * replica_i           (then copied to all)
-// so algorithm choice only affects the virtual-time cost — mirroring the
-// paper, where the merging math is fixed and the all-reduce implementation
-// is a performance decision. The returned cost is derived from the
-// sim::LinkModel and device reduce throughput.
-//
-// Determinism contract: the reduction accumulates in double precision over
-// replicas in index order (replica 0 initializes the accumulator), one
-// element at a time. Sharding the element space — across streams or across
-// ThreadPool workers — partitions elements without reordering the
-// per-element sum, so every stream/thread/shard count produces bit-identical
-// results.
+// The three differ only in cost: in the paper the merging math is fixed and
+// the all-reduce implementation is a performance decision. AllReducer
+// therefore prices a merge — virtual seconds from the sim::LinkModel and
+// device reduce throughput, plus bytes and steps — and core/merging computes
+// the merged values, sum_i weights[i] * replica_i, in fused sharded kernels
+// that are bit-identical at any stream, shard or thread count.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "sim/link_model.h"
-#include "sim/virtual_gpu.h"
-#include "util/kernel_context.h"
 
 namespace hetero::comm {
 
@@ -77,39 +67,12 @@ struct WirePayload {
   double total() const { return payload_bytes + metadata_bytes; }
 };
 
-/// One replica's parameters as an ordered list of in-place tensor views
-/// (e.g. the W1/b1/W2/b2 segments of a one-hidden-layer
-/// nn::Model::segment_views()).
-/// Segment k must have the same length on every replica; concatenating the
-/// segments defines the flat reduction index space.
-using SegmentedView = std::vector<std::span<float>>;
-
 class AllReducer {
  public:
   AllReducer(AllReduceAlgo algo, sim::LinkModel links,
              std::size_t num_streams);
 
-  /// Numerically merges the replicas in-place: every replica ends holding
-  /// sum_i weights[i] * replica_i. Weights are NOT renormalized here — the
-  /// perturbed weights of Algorithm 2 may deliberately sum to != 1.
-  ///
-  /// Returns the virtual cost for `num_replicas` GPUs holding buffers of
-  /// the given size. Cost does not depend on the weights.
-  AllReduceCost weighted_average(std::vector<std::span<float>> replicas,
-                                 std::span<const double> weights,
-                                 const kernels::Context& ctx = {}) const;
-
-  /// Zero-copy segmented variant: merges each replica's segments in place
-  /// (no flattening copies). The flat index space is partitioned into at
-  /// least num_streams() shards — mirroring the paper's multi-stream
-  /// partitions — and shards are reduced on the ctx thread pool. Per the
-  /// determinism contract above, the result is bit-identical to the serial
-  /// single-shard reduction for any shard/thread count.
-  AllReduceCost weighted_average_segments(
-      std::span<const SegmentedView> replicas, std::span<const double> weights,
-      const kernels::Context& ctx = {}) const;
-
-  /// Cost-only query (used by benches sweeping buffer sizes without data).
+  /// Cost of merging `num_replicas` buffers of `buffer_bytes` each.
   /// Under elastic membership the caller passes the ALIVE replica count:
   /// the ring/tree cost model re-derives its step count over the degraded
   /// topology, so losing a device also shrinks the collective.
@@ -132,8 +95,8 @@ class AllReducer {
   /// two-level: the configured algorithm within each node (over peer/host
   /// links, slowest node paces the phase), a chunked inter-node ring over
   /// one leader rank per node (network links), then an intra-node broadcast
-  /// of the result. The merged *values* are identical either way — only the
-  /// virtual-time cost reflects the hierarchy.
+  /// of the result. Only the cost reflects the hierarchy; the merged values
+  /// (core/merging) do not depend on it.
   AllReduceCost cost(std::span<const std::size_t> ranks,
                      const WirePayload& wire,
                      double reduce_gbs = 300.0) const;

@@ -29,6 +29,7 @@ class CrossbowTrainer final : public Trainer {
   std::string method_name() const override { return "crossbow-sma"; }
 
  protected:
+  void on_start(TrainResult&) override { reject_membership_plans(); }
   void run_megabatch(TrainResult& result) override;
 
  private:

@@ -51,6 +51,7 @@ class ParamServerTrainer final : public Trainer {
   std::size_t ssp_stalls() const { return ssp_stalls_; }
 
  protected:
+  void on_start(TrainResult&) override { reject_membership_plans(); }
   void run_megabatch(TrainResult& result) override;
 
  private:

@@ -107,6 +107,7 @@ class MultiGpuRuntime {
   /// merged global model with update count 0.
   void schedule_join(std::size_t g, double time);
 
+  /// True while scheduled crash or join events have not been applied yet.
   bool has_fault_schedule() const {
     return !pending_crashes_.empty() || !pending_joins_.empty();
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "core/adaptive_sgd.h"
 #include "core/crossbow_sma.h"
@@ -47,6 +48,15 @@ void Trainer::set_resume_point(std::size_t completed, double best_top1,
   start_megabatch_ = completed;
   early_stop_best_ = best_top1;
   early_stop_stagnation_ = megabatches_without_improvement;
+}
+
+void Trainer::reject_membership_plans() const {
+  if (runtime_.has_fault_schedule()) {
+    throw std::invalid_argument(
+        method_name() +
+        " keeps every device a member: crash, join and partition events "
+        "need adaptive, elastic or sync");
+  }
 }
 
 TrainResult Trainer::train() {

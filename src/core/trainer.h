@@ -61,6 +61,10 @@ class Trainer {
   /// Called once before the first mega-batch.
   virtual void on_start(TrainResult&) {}
 
+  /// Throws std::invalid_argument if crash, join or partition events are
+  /// armed on the runtime: for loops that keep every device a member.
+  void reject_membership_plans() const;
+
   /// Current virtual time (all devices' latest clock).
   double current_vtime() const;
 

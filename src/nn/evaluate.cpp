@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <mutex>
-#include <span>
+#include <vector>
 
+#include "nn/topk.h"
 #include "util/kernel_context.h"
 
 namespace hetero::nn {
@@ -14,54 +15,6 @@ struct Hits {
   std::size_t top1 = 0, top5 = 0;
   std::size_t p3 = 0, p5 = 0;  // summed |top-k ∩ true|
 };
-
-// Scores one row's top 5 (by partial selection) against its true labels.
-void count_hits(const float* p, std::size_t c,
-                std::span<const std::uint32_t> labels, Hits& hits) {
-  std::size_t top_idx[5];
-  float top_val[5];
-  std::size_t filled = 0;
-  for (std::size_t j = 0; j < c; ++j) {
-    if (filled < 5) {
-      top_idx[filled] = j;
-      top_val[filled] = p[j];
-      ++filled;
-      // Keep the smallest at the end.
-      for (std::size_t k = filled; k-- > 1;) {
-        if (top_val[k] > top_val[k - 1]) {
-          std::swap(top_val[k], top_val[k - 1]);
-          std::swap(top_idx[k], top_idx[k - 1]);
-        }
-      }
-    } else if (p[j] > top_val[4]) {
-      top_val[4] = p[j];
-      top_idx[4] = j;
-      for (std::size_t k = 4; k-- > 0;) {
-        if (top_val[k + 1] > top_val[k]) {
-          std::swap(top_val[k + 1], top_val[k]);
-          std::swap(top_idx[k + 1], top_idx[k]);
-        } else {
-          break;
-        }
-      }
-    }
-  }
-
-  const auto is_true = [&](std::size_t cls) {
-    return std::binary_search(labels.begin(), labels.end(),
-                              static_cast<std::uint32_t>(cls));
-  };
-  if (is_true(top_idx[0])) ++hits.top1;
-  bool any_in_top5 = false;
-  for (std::size_t k = 0; k < std::min<std::size_t>(5, filled); ++k) {
-    if (is_true(top_idx[k])) {
-      any_in_top5 = true;
-      if (k < 3) ++hits.p3;
-      ++hits.p5;
-    }
-  }
-  if (any_in_top5) ++hits.top5;
-}
 
 }  // namespace
 
@@ -91,15 +44,29 @@ EvalResult evaluate(const Model& model, const sparse::LabeledDataset& test,
     const auto y = test.labels.slice_rows(begin, end);
     loss += model.forward_loss(x, y, ws) * static_cast<double>(end - begin);
 
-    // Hit counts are integers, so summing per-range counts in any order
-    // gives the serial totals.
+    // Each row's top 5 by select_topk, scored against its true labels. Hit
+    // counts are integers, so summing per-range counts in any order gives
+    // the serial totals.
     kernels::parallel_for_ranges(
         ws.ctx, x.rows(), x.rows() * c, [&](std::size_t r0, std::size_t r1) {
           Hits local;
+          std::vector<ScoredLabel> top;
           for (std::size_t r = r0; r < r1; ++r) {
             const auto labels = y.row_cols(r);
             if (labels.empty()) continue;
-            count_hits(ws.probs.data() + r * c, c, labels, local);
+            select_topk(ws.probs.row(r), 5, top);
+            std::size_t in_top5 = 0;
+            for (std::size_t k = 0; k < top.size(); ++k) {
+              if (!std::binary_search(labels.begin(), labels.end(),
+                                      top[k].label)) {
+                continue;
+              }
+              if (k == 0) ++local.top1;
+              if (k < 3) ++local.p3;
+              ++in_top5;
+            }
+            local.p5 += in_top5;
+            if (in_top5 > 0) ++local.top5;
           }
           std::lock_guard<std::mutex> lock(hits_mutex);
           hits.top1 += local.top1;

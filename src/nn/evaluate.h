@@ -1,5 +1,7 @@
 // Test-set evaluation: top-k accuracy (the paper reports top-1 on the
-// testing dataset after every mega-batch).
+// testing dataset after every mega-batch). Rows are ranked by select_topk
+// (nn/topk.h), the rule serving uses: higher probability first, lower label
+// on ties.
 #pragma once
 
 #include <cstddef>

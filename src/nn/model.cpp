@@ -12,15 +12,9 @@
 
 namespace hetero::nn {
 
-void ModelWorkspace::ensure_forward(const ModelInfo& info) {
-  pre.resize(info.hidden.size());
-  acts.resize(info.hidden.size());
-}
-
 void ModelWorkspace::ensure(const ModelInfo& info) {
   const std::size_t nh = info.hidden.size();
   const std::size_t layers = info.num_layers();
-  ensure_forward(info);
   deltas.resize(layers);
   // grad_w1 is keyed per batch by compute_gradients; nothing to pre-size.
   grad_w.resize(layers - 1);
@@ -146,33 +140,40 @@ double Model::l2_norm_per_parameter() const {
   return std::sqrt(ss) / static_cast<double>(num_parameters());
 }
 
+void Model::forward_hidden(const sparse::CsrMatrix& x,
+                           std::vector<tensor::Matrix>& acts,
+                           const kernels::Context& ctx) const {
+  assert(x.cols() == info_.num_features);
+  // Per layer: spmm (layer 0) or gemm, bias, relu in place. The order is
+  // part of the pinned one-hidden-layer bits.
+  const std::size_t nh = info_.hidden.size();
+  acts.resize(nh);
+  for (std::size_t l = 0; l < nh; ++l) {
+    if (l == 0) {
+      sparse::spmm(x, weights_[0], acts[0], ctx);
+    } else {
+      tensor::gemm(acts[l - 1], weights_[l], acts[l], ctx);
+    }
+    tensor::add_row_bias(acts[l], biases_[l]);
+    tensor::relu(acts[l]);
+  }
+}
+
+void Model::forward_output(const tensor::Matrix& h, tensor::Matrix& out,
+                           const kernels::Context& ctx) const {
+  const std::size_t nh = info_.hidden.size();
+  tensor::gemm(h, weights_[nh], out, ctx);
+  tensor::add_row_bias(out, biases_[nh]);
+}
+
 double Model::forward_loss(const sparse::CsrMatrix& x,
                            const sparse::CsrMatrix& y,
                            ModelWorkspace& ws) const {
-  assert(x.cols() == info_.num_features);
   assert(y.cols() == info_.num_classes);
   assert(x.rows() == y.rows());
-  ws.ensure_forward(info_);
-  const std::size_t nh = info_.hidden.size();
-
-  // Hidden stack: spmm (layer 0) or gemm, bias, copy, relu per layer; then
-  // gemm, bias, softmax for the output. The order is part of the pinned
-  // one-hidden-layer bits.
-  for (std::size_t l = 0; l < nh; ++l) {
-    if (l == 0) {
-      sparse::spmm(x, weights_[0], ws.pre[0], ws.ctx);
-    } else {
-      tensor::gemm(ws.acts[l - 1], weights_[l], ws.pre[l], ws.ctx);
-    }
-    tensor::add_row_bias(ws.pre[l], {biases_[l].data(), biases_[l].size()});
-    ws.acts[l] = ws.pre[l];
-    tensor::relu(ws.acts[l]);
-  }
-
+  forward_hidden(x, ws.acts, ws.ctx);
   // Output layer straight into the shared probs buffer.
-  tensor::gemm(ws.acts[nh - 1], weights_[nh], ws.probs, ws.ctx);
-  tensor::add_row_bias(ws.probs,
-                       {biases_[nh].data(), biases_[nh].size()});
+  forward_output(ws.acts.back(), ws.probs, ws.ctx);
   tensor::softmax_rows(ws.probs, ws.ctx);
 
   // Multi-label cross-entropy, uniform target over positive labels.
@@ -222,10 +223,12 @@ StepStats Model::compute_gradients(const sparse::CsrMatrix& x,
                               ws.grad_b[layers - 1].size()});
 
   // Propagate down the dense stack; deltas are w.r.t. pre-activations.
+  // The relu mask reads the activations: relu(a) > 0 exactly where a > 0,
+  // and NaN stays NaN, so it equals the pre-activation mask bit for bit.
   for (std::size_t l = layers - 1; l-- > 0;) {
     tensor::gemm_a_bt(ws.deltas[l + 1], weights_[l + 1], ws.deltas[l],
                       ws.ctx);
-    tensor::relu_backward(ws.pre[l], ws.deltas[l]);
+    tensor::relu_backward(ws.acts[l], ws.deltas[l]);
     if (l > 0) {
       tensor::gemm_at_b(ws.acts[l - 1], ws.deltas[l], ws.grad_w[l - 1],
                         ws.ctx);

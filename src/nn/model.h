@@ -78,8 +78,8 @@ struct ModelWorkspace {
   kernels::Context ctx;
 
   // Indexed by hidden layer (0 .. num_hidden-1); the output layer's
-  // activations live in `probs`.
-  std::vector<tensor::Matrix> pre;     // batch x H_l, pre-activation
+  // activations live in `probs`. The backward pass masks with these:
+  // relu(a) > 0 exactly where a > 0, so no pre-activation copy is kept.
   std::vector<tensor::Matrix> acts;    // batch x H_l, post-ReLU
   // Indexed by layer (0 .. num_layers-1); deltas.back() is batch x C.
   std::vector<tensor::Matrix> deltas;
@@ -97,10 +97,8 @@ struct ModelWorkspace {
                         : grad_w[layer - 1].flat();
   }
 
-  /// Sizes the forward buffers (pre, acts) only: evaluation never reads
-  /// the gradient buffers, so forward_loss does not allocate them.
-  void ensure_forward(const ModelInfo& info);
-  /// Sizes the forward buffers plus deltas and gradients.
+  /// Sizes deltas and gradients (the forward pass sizes acts and probs;
+  /// evaluation never reads the gradient buffers, so it allocates none).
   void ensure(const ModelInfo& info);
 };
 
@@ -163,6 +161,20 @@ class Model {
   /// Forward + loss only (no gradients); probs are left in ws.probs.
   double forward_loss(const sparse::CsrMatrix& x, const sparse::CsrMatrix& y,
                       ModelWorkspace& ws) const;
+
+  // --- inference -------------------------------------------------------------
+  // The one forward pass: training, evaluation and serving all run it.
+
+  /// Hidden stack: acts[l] = relu(in_l * W_l + b_l), where in_0 is the sparse
+  /// input (spmm) and in_l = acts[l-1] (gemm). `acts` is resized to the
+  /// hidden-layer count; its matrices are reused across calls.
+  void forward_hidden(const sparse::CsrMatrix& x,
+                      std::vector<tensor::Matrix>& acts,
+                      const kernels::Context& ctx) const;
+
+  /// Output layer: out = h * W_out + b_out, the logits before softmax.
+  void forward_output(const tensor::Matrix& h, tensor::Matrix& out,
+                      const kernels::Context& ctx) const;
 
   // --- virtual-GPU cost reporting ------------------------------------------
 

@@ -1,8 +1,8 @@
-#include "serve/topk.h"
+#include "nn/topk.h"
 
 #include <algorithm>
 
-namespace hetero::serve {
+namespace hetero::nn {
 
 namespace {
 
@@ -29,8 +29,19 @@ void select_topk(std::span<const float> scores, std::size_t k,
   out.clear();
   if (k == 0) return;
   out.reserve(std::min(k, scores.size()));
-  for (std::size_t c = 0; c < scores.size(); ++c) {
+  std::size_t c = 0;
+  for (; c < scores.size() && out.size() < k; ++c) {
     insert_bounded(out, k, {static_cast<std::uint32_t>(c), scores[c]});
+  }
+  if (c == scores.size()) return;
+  // `out` is full. Labels arrive in ascending order, so a score that is not
+  // above the k-th ranks after it (NaN included): one compare against a
+  // local copy of the k-th score, the test insert_bounded would make.
+  float kth = out.back().score;
+  for (; c < scores.size(); ++c) {
+    if (!(scores[c] > kth)) continue;
+    insert_bounded(out, k, {static_cast<std::uint32_t>(c), scores[c]});
+    kth = out.back().score;
   }
 }
 
@@ -42,4 +53,4 @@ void select_topk(std::span<const ScoredLabel> candidates, std::size_t k,
   for (const auto& cand : candidates) insert_bounded(out, k, cand);
 }
 
-}  // namespace hetero::serve
+}  // namespace hetero::nn

@@ -1,18 +1,20 @@
-// Deterministic top-k label extraction for the serving path.
+// Deterministic top-k label extraction: the one ranking rule of evaluation
+// and serving.
 //
 // Serving results must be bit-stable across worker counts, wave groupings,
-// and SIMD ISAs (DESIGN.md §12), so ties are never left to container or
-// scan order: the selection order is *score descending, label id ascending
-// on exact float equality* — the same rule in the exact full-scan path and
-// the LSH candidate path. Two runs that produce the same logits therefore
-// produce the same top-k byte for byte.
+// and SIMD ISAs (DESIGN.md §12), and evaluation must count the same hits at
+// any thread count, so ties are never left to container or scan order: the
+// selection order is *score descending, label id ascending on exact float
+// equality* — the same rule in evaluation, the exact full-scan serving path
+// and the LSH candidate path. Two runs that produce the same scores
+// therefore produce the same top-k byte for byte.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-namespace hetero::serve {
+namespace hetero::nn {
 
 /// One ranked output label.
 struct ScoredLabel {
@@ -39,4 +41,4 @@ void select_topk(std::span<const float> scores, std::size_t k,
 void select_topk(std::span<const ScoredLabel> candidates, std::size_t k,
                  std::vector<ScoredLabel>& out);
 
-}  // namespace hetero::serve
+}  // namespace hetero::nn

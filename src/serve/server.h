@@ -24,7 +24,7 @@
 // Determinism: per-request results are bit-stable regardless of worker
 // count or how requests are grouped into waves, because every kernel on
 // the serving path computes each output row from its own input row only,
-// and top-k tie-breaking is by label id (serve/topk.h).
+// and top-k tie-breaking is by label id (nn/topk.h).
 #pragma once
 
 #include <atomic>

@@ -9,7 +9,6 @@
 
 #include "fault/checkpoint.h"
 #include "nn/serialize.h"
-#include "sparse/ops.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 #include "util/kernel_context.h"
@@ -33,23 +32,11 @@ std::span<const float> ModelSnapshot::output_bias() const {
 
 void ModelSnapshot::forward_hidden(const sparse::CsrMatrix& x,
                                    QueryScratch& s) const {
-  const std::size_t hidden_layers = info().hidden.size();
-  s.acts.resize(hidden_layers);
-  const auto ctx = kernels::Context::serial();
-  sparse::spmm(x, model_.weights(0), s.acts[0], ctx);
-  tensor::add_row_bias(s.acts[0], model_.biases(0));
-  tensor::relu(s.acts[0]);
-  for (std::size_t l = 1; l < hidden_layers; ++l) {
-    tensor::gemm(s.acts[l - 1], model_.weights(l), s.acts[l], ctx);
-    tensor::add_row_bias(s.acts[l], model_.biases(l));
-    tensor::relu(s.acts[l]);
-  }
+  model_.forward_hidden(x, s.acts, kernels::Context::serial());
 }
 
 void ModelSnapshot::score_output(QueryScratch& s) const {
-  tensor::gemm(s.acts.back(), output_weights(), s.logits,
-               kernels::Context::serial());
-  tensor::add_row_bias(s.logits, output_bias());
+  model_.forward_output(s.acts.back(), s.logits, kernels::Context::serial());
 }
 
 void ModelSnapshot::topk_exact(const QueryScratch& s, std::size_t row,

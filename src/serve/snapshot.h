@@ -33,12 +33,16 @@
 #include <vector>
 
 #include "nn/model.h"
-#include "serve/topk.h"
+#include "nn/topk.h"
 #include "slide/lsh_table.h"
 #include "sparse/csr.h"
 #include "tensor/matrix.h"
 
 namespace hetero::serve {
+
+// Serving ranks with the evaluation top-k (nn/topk.h).
+using nn::ScoredLabel;
+using nn::select_topk;
 
 /// SLIDE candidate-generation knobs. Defaults target >= 0.95 exact-vs-LSH
 /// top-k recall on the synthetic extreme-classification workload while
@@ -82,13 +86,15 @@ class ModelSnapshot {
 
   // --- scoring -------------------------------------------------------------
 
-  /// Runs the hidden stack on a CSR wave of queries: acts.back() holds the
-  /// final hidden activations (wave x H_last). Serial kernels — worker
-  /// threads are the parallelism, and per-row independence keeps results
-  /// identical no matter how requests are grouped into waves.
+  /// Runs the model's hidden stack (nn::Model::forward_hidden) on a CSR
+  /// wave of queries: acts.back() holds the final hidden activations
+  /// (wave x H_last). Serial kernels — worker threads are the parallelism,
+  /// and per-row independence keeps results identical no matter how
+  /// requests are grouped into waves.
   void forward_hidden(const sparse::CsrMatrix& x, QueryScratch& s) const;
 
-  /// Dense output layer over acts.back(): s.logits = acts * Wout + bias.
+  /// The model's output layer (nn::Model::forward_output) over
+  /// acts.back(): s.logits = acts * Wout + bias.
   void score_output(QueryScratch& s) const;
 
   /// Exact top-k of wave row `row` from s.logits (score_output first).

@@ -107,13 +107,11 @@ struct VecKernels {
   double (*squared_distance)(const float* a, const float* b, std::size_t n);
 
   // Fused-merge building blocks over a double accumulator block
-  // (core/merging.cpp, comm/allreduce.cpp). Element-wise in double.
+  // (core/merging.cpp). Element-wise in double.
   // acc[i] = w * x[i]
   void (*merge_init)(double* acc, const float* x, double w, std::size_t n);
   // acc[i] += w * x[i]
   void (*merge_accum)(double* acc, const float* x, double w, std::size_t n);
-  // x[i] = float(acc[i])
-  void (*merge_store)(const double* acc, float* x, std::size_t n);
   // w = g[i]; g[i] = float(acc[i]) + gamma * (w - p[i]); p[i] = w
   void (*merge_finalize_momentum)(const double* acc, float* g, float* p,
                                   float gamma, std::size_t n);

@@ -187,7 +187,7 @@ struct Sse4F {
   friend Sse4F operator*(Sse4F a, Sse4F b) { return {_mm_mul_ps(a.v, b.v)}; }
 };
 
-/// 4-lane double vector whose from_float/store_float convert a half ymm of
+/// 4-lane double vector whose from_float/to_float convert a half ymm of
 /// floats. Element-wise double kernels (merge accumulation) use it; the
 /// 8-lane virtual-accumulator reductions build their lane pairs from it.
 struct Avx2D {
@@ -202,7 +202,6 @@ struct Avx2D {
   static Avx2D from_float(const float* p) {
     return {_mm256_cvtps_pd(_mm_loadu_ps(p))};
   }
-  void store_float(float* p) const { _mm_storeu_ps(p, _mm256_cvtpd_ps(v)); }
   NarrowF to_float() const { return {_mm256_cvtpd_ps(v)}; }
 
   friend Avx2D operator+(Avx2D a, Avx2D b) {

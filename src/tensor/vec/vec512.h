@@ -161,9 +161,6 @@ struct Avx512D {
   static Avx512D from_float(const float* p) {
     return {_mm512_cvtps_pd(_mm256_loadu_ps(p))};
   }
-  void store_float(float* p) const {
-    _mm256_storeu_ps(p, _mm512_cvtpd_ps(v));
-  }
   NarrowF to_float() const { return {_mm512_cvtpd_ps(v)}; }
 
   friend Avx512D operator+(Avx512D a, Avx512D b) {

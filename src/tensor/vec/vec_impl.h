@@ -282,17 +282,6 @@ void merge_accum(double* acc, const float* x, double w, std::size_t n) {
   for (; i < n; ++i) acc[i] = acc[i] + w * x[i];
 }
 
-// x[i] = float(acc[i])
-template <class VD>
-void merge_store(const double* acc, float* x, std::size_t n) {
-  constexpr std::size_t W = VD::kWidth;
-  std::size_t i = 0;
-  for (; i + W <= n; i += W) {
-    VD::load(acc + i).store_float(x + i);
-  }
-  for (; i < n; ++i) x[i] = static_cast<float>(acc[i]);
-}
-
 // w = g[i]; g[i] = float(acc[i]) + gamma * (w - p[i]); p[i] = w
 template <class VD>
 void merge_finalize_momentum(const double* acc, float* g, float* p,
@@ -641,7 +630,6 @@ VecKernels make_table(Isa isa) {
   t.squared_distance = &squared_distance<VD>;
   t.merge_init = &merge_init<VD>;
   t.merge_accum = &merge_accum<VD>;
-  t.merge_store = &merge_store<VD>;
   t.merge_finalize_momentum = &merge_finalize_momentum<VD>;
   t.merge_finalize_plain = &merge_finalize_plain<VD>;
   t.ef_delta = &ef_delta<VF>;

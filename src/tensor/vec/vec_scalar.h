@@ -119,7 +119,6 @@ struct ScalarD {
     return {static_cast<double>(*p)};
   }
   /// Narrows back to float (round-to-nearest, like static_cast<float>).
-  void store_float(float* p) const { *p = static_cast<float>(v); }
   NarrowF to_float() const { return {static_cast<float>(v)}; }
 
   friend ScalarD operator+(ScalarD a, ScalarD b) { return {a.v + b.v}; }

@@ -4,83 +4,12 @@
 
 #include "comm/quant.h"
 #include "sim/profiles.h"
-#include "util/rng.h"
 
 namespace hetero::comm {
 namespace {
 
-std::vector<std::vector<float>> random_replicas(std::size_t n,
-                                                std::size_t len,
-                                                std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<std::vector<float>> replicas(n, std::vector<float>(len));
-  for (auto& r : replicas) {
-    for (auto& v : r) v = static_cast<float>(rng.uniform(-2, 2));
-  }
-  return replicas;
-}
-
-std::vector<std::span<float>> views_of(std::vector<std::vector<float>>& r) {
-  std::vector<std::span<float>> v;
-  for (auto& x : r) v.emplace_back(x.data(), x.size());
-  return v;
-}
-
 AllReducer make(AllReduceAlgo algo, std::size_t n, std::size_t streams) {
   return AllReducer(algo, sim::default_links(n), streams);
-}
-
-TEST(AllReduce, WeightedAverageNumerics) {
-  auto replicas = random_replicas(3, 16, 1);
-  auto expected = std::vector<double>(16, 0.0);
-  const std::vector<double> weights{0.5, 0.3, 0.2};
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 16; ++j) {
-      expected[j] += weights[i] * replicas[i][j];
-    }
-  }
-  auto reducer = make(AllReduceAlgo::kRingMultiStream, 3, 3);
-  auto views = views_of(replicas);
-  reducer.weighted_average(views, weights);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 16; ++j) {
-      EXPECT_NEAR(replicas[i][j], expected[j], 1e-5f);
-    }
-  }
-}
-
-TEST(AllReduce, AllAlgorithmsProduceIdenticalResults) {
-  const std::vector<double> weights{0.4, 0.35, 0.15, 0.1};
-  std::vector<std::vector<std::vector<float>>> copies;
-  for (int i = 0; i < 3; ++i) copies.push_back(random_replicas(4, 64, 7));
-
-  auto central = make(AllReduceAlgo::kCentral, 4, 1);
-  auto tree = make(AllReduceAlgo::kTreeSingleStream, 4, 1);
-  auto ring = make(AllReduceAlgo::kRingMultiStream, 4, 4);
-  auto v0 = views_of(copies[0]);
-  auto v1 = views_of(copies[1]);
-  auto v2 = views_of(copies[2]);
-  central.weighted_average(v0, weights);
-  tree.weighted_average(v1, weights);
-  ring.weighted_average(v2, weights);
-  for (std::size_t j = 0; j < 64; ++j) {
-    EXPECT_FLOAT_EQ(copies[0][0][j], copies[1][0][j]);
-    EXPECT_FLOAT_EQ(copies[0][0][j], copies[2][0][j]);
-  }
-}
-
-TEST(AllReduce, DenormalizedWeightsNotRenormalized) {
-  // Algorithm 2's perturbed weights may sum != 1; the reducer must honor
-  // them verbatim.
-  auto replicas = random_replicas(2, 4, 3);
-  std::vector<float> a = replicas[0], b = replicas[1];
-  const std::vector<double> weights{1.1, 0.4};  // sums to 1.5
-  auto reducer = make(AllReduceAlgo::kCentral, 2, 1);
-  auto views = views_of(replicas);
-  reducer.weighted_average(views, weights);
-  for (std::size_t j = 0; j < 4; ++j) {
-    EXPECT_NEAR(replicas[0][j], 1.1 * a[j] + 0.4 * b[j], 1e-5f);
-  }
 }
 
 TEST(AllReduce, SingleReplicaNoCost) {
@@ -194,27 +123,6 @@ TEST(WirePayload, PinnedBytesPerPrecision) {
     EXPECT_EQ(w.total(), c.payload + c.metadata);
   }
 }
-
-class GpuCountParam : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(GpuCountParam, NumericResultIndependentOfAlgoAndCount) {
-  const std::size_t n = GetParam();
-  std::vector<double> weights(n, 1.0 / static_cast<double>(n));
-  auto a = random_replicas(n, 32, 11);
-  auto b = a;
-  auto ring = make(AllReduceAlgo::kRingMultiStream, n, n);
-  auto tree = make(AllReduceAlgo::kTreeSingleStream, n, 1);
-  auto va = views_of(a);
-  auto vb = views_of(b);
-  ring.weighted_average(va, weights);
-  tree.weighted_average(vb, weights);
-  for (std::size_t g = 0; g < n; ++g) {
-    for (std::size_t j = 0; j < 32; ++j) EXPECT_FLOAT_EQ(a[g][j], b[g][j]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Counts, GpuCountParam,
-                         ::testing::Values(1, 2, 3, 4, 8));
 
 }  // namespace
 }  // namespace hetero::comm

@@ -18,7 +18,9 @@
 #include "core/adaptive_sgd.h"
 #include "core/batch_scaling.h"
 #include "core/merging.h"
+#include "core/param_server.h"
 #include "core/runtime.h"
+#include "core/trainer.h"
 #include "data/synthetic.h"
 #include "fault/checkpoint.h"
 #include "fault/fault_injector.h"
@@ -564,6 +566,28 @@ TEST_F(FaultTest, CrashThenJoinShrinksAndRestoresMembership) {
   EXPECT_EQ(result.curve.back().alive_gpus, 3u);
   // The rejoined replica restarts at b_max with the base learning rate.
   EXPECT_EQ(trainer.sgd_state()[1].batch_size, cfg.batch_max);
+}
+
+// The asynchronous, SSP and CROSSBOW loops keep every device a member: a
+// crash armed through the library is a typed error before training, not a
+// dead-device failure mid-run.
+TEST_F(FaultTest, ParamServerAndCrossbowRejectArmedMembershipPlans) {
+  const auto devices = sim::v100_heterogeneous(3);
+  std::vector<std::unique_ptr<core::Trainer>> trainers;
+  trainers.push_back(
+      core::make_trainer(core::Method::kAsync, dataset_, config(), devices));
+  trainers.push_back(std::make_unique<core::ParamServerTrainer>(
+      dataset_, config(), devices, /*staleness_bound=*/2));
+  trainers.push_back(
+      core::make_trainer(core::Method::kCrossbow, dataset_, config(), devices));
+  for (auto& trainer : trainers) {
+    fault::FaultInjector(fault::FaultPlan::parse("crash@0.001:gpu1"))
+        .arm(trainer->runtime());
+    EXPECT_THROW(trainer->train(), std::invalid_argument)
+        << trainer->method_name();
+    EXPECT_EQ(trainer->runtime().samples_served(), 0u)
+        << trainer->method_name();
+  }
 }
 
 TEST_F(FaultTest, SamePlanSameSeedReproducesBitIdenticalRuns) {

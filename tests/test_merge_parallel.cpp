@@ -167,55 +167,6 @@ TEST(MergeSegment, DeltaPairBitIdenticalToDenseKernel) {
   }
 }
 
-TEST(WeightedAverageSegments, MatchesFlatPathAndShardCounts) {
-  util::Rng rng(3);
-  const std::vector<std::size_t> seg_lens = {100, 1, 777, 64};
-  const std::size_t total = 942;
-  for (const std::size_t n : {2u, 3u}) {
-    std::vector<std::vector<float>> flat_data;
-    for (std::size_t i = 0; i < n; ++i) {
-      flat_data.push_back(random_params(total, rng));
-    }
-    const auto weights = perturbed_weights(n, rng);
-
-    // Flat single-shard serial reference.
-    auto ref = flat_data;
-    {
-      comm::AllReducer serial(comm::AllReduceAlgo::kRingMultiStream,
-                              sim::default_links(2), 1);
-      std::vector<std::span<float>> views;
-      for (auto& f : ref) views.emplace_back(f.data(), f.size());
-      serial.weighted_average(views, weights);
-    }
-
-    for (const std::size_t streams : {1u, 4u, 13u}) {
-      for (const std::size_t threads : {1u, 8u}) {
-        util::ThreadPool pool(threads);
-        const auto ctx = pool_ctx(&pool, threads);
-        auto data = flat_data;
-        std::vector<comm::SegmentedView> segs(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          float* p = data[i].data();
-          for (const auto sl : seg_lens) {
-            segs[i].emplace_back(p, sl);
-            p += sl;
-          }
-        }
-        comm::AllReducer reducer(comm::AllReduceAlgo::kRingMultiStream,
-                                 sim::default_links(2), streams);
-        const auto cost =
-            reducer.weighted_average_segments(segs, weights, ctx);
-        EXPECT_DOUBLE_EQ(cost.payload_bytes,
-                         static_cast<double>(total * sizeof(float)));
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(data[i], ref[i])
-              << "streams=" << streams << " threads=" << threads;
-        }
-      }
-    }
-  }
-}
-
 TEST(RowSet, AddDedupContainsClear) {
   sparse::RowSet set;
   set.reset(100);

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <vector>
 
 #include "nn/evaluate.h"
 #include "sparse/csr.h"
@@ -447,6 +451,88 @@ TEST(Evaluate, ThreadedWorkspaceMatchesSerialBits) {
     EXPECT_EQ(bits(threaded.loss), bits(serial.loss));
     EXPECT_EQ(threaded.samples, serial.samples);
   }
+}
+
+// Evaluation frozen bit for bit: top1, top5, P@3, P@5 and loss of seeded
+// models with non-zero biases (one and two hidden layers) over 90 rows in
+// batches of 32, through the serial call and a pooled workspace.
+TEST(Evaluate, PinnedAtFixedSeed) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  struct Case {
+    std::vector<std::size_t> hidden;
+    std::uint64_t top1, top5, p_at_3, p_at_5, loss;
+  };
+  const Case cases[] = {
+      {{8}, 0x3fac71c71c71c71cull, 0x3fd5555555555555ull,
+       0x3fae573ac901e574ull, 0x3fb23456789abcdfull, 0x400d452dd2f684bfull},
+      {{8, 6}, 0x3fb999999999999aull, 0x3fd8e38e38e38e39ull,
+       0x3fb7b425ed097b42ull, 0x3fb50c83fb72ea62ull, 0x400ca7f4d97b425eull},
+  };
+  util::ThreadPool pool(3);
+  for (const auto& c : cases) {
+    util::Rng rng(2028);
+    Model model(40, c.hidden, 30);
+    model.init(rng);
+    for (std::size_t l = 0; l < model.info().num_layers(); ++l) {
+      for (float& b : model.biases(l)) {
+        b = static_cast<float>(rng.uniform(-0.5, 0.5));
+      }
+    }
+    const sparse::LabeledDataset test{make_batch_x(90, 40, rng),
+                                      make_batch_y(90, 30, rng, 3)};
+    ModelWorkspace pooled;
+    pooled.ctx = kernels::Context{&pool, 3};
+    pooled.ctx.serial_grain = 0;
+    for (const auto& r : {evaluate(model, test, 0, 32),
+                          evaluate(model, test, pooled, 0, 32)}) {
+      const auto got = [&](double v) {
+        std::ostringstream os;
+        os << "hidden layers " << c.hidden.size() << ": 0x" << std::hex
+           << bits(v) << "ull";
+        return os.str();
+      };
+      EXPECT_EQ(bits(r.top1), c.top1) << got(r.top1);
+      EXPECT_EQ(bits(r.top5), c.top5) << got(r.top5);
+      EXPECT_EQ(bits(r.p_at_3), c.p_at_3) << got(r.p_at_3);
+      EXPECT_EQ(bits(r.p_at_5), c.p_at_5) << got(r.p_at_5);
+      EXPECT_EQ(bits(r.loss), c.loss) << got(r.loss);
+      EXPECT_EQ(r.samples, 90u);
+    }
+  }
+}
+
+// A zero output layer scores every class equally: ranking must put labels
+// 0..4 first, in order, so top1, top5, P@3 and P@5 count only the true
+// labels among them.
+TEST(Evaluate, TiedScoresRankLowerLabelsFirst) {
+  util::Rng rng(2029);
+  Model model(40, {8}, 30);
+  model.init(rng);
+  model.weights(1).fill(0.0f);
+  std::fill(model.biases(1).begin(), model.biases(1).end(), 0.0f);
+  const std::size_t n = 90;
+  const sparse::LabeledDataset test{make_batch_x(n, 40, rng),
+                                    make_batch_y(n, 30, rng, 3)};
+  std::size_t top1 = 0, top5 = 0, p3 = 0, p5 = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    std::size_t in3 = 0, in5 = 0;
+    for (const auto label : test.labels.row_cols(r)) {
+      in3 += label < 3;
+      in5 += label < 5;
+    }
+    top1 += test.labels.row_contains(r, 0);
+    top5 += in5 > 0;
+    p3 += in3;
+    p5 += in5;
+  }
+  ASSERT_GT(top1, 0u);  // the data exercises hits and misses
+  ASSERT_LT(top5, n);
+  const auto d = [](std::size_t v) { return static_cast<double>(v); };
+  const auto r = evaluate(model, test, 0, 32);
+  EXPECT_DOUBLE_EQ(r.top1, d(top1) / d(n));
+  EXPECT_DOUBLE_EQ(r.top5, d(top5) / d(n));
+  EXPECT_DOUBLE_EQ(r.p_at_3, d(p3) / (3.0 * d(n)));
+  EXPECT_DOUBLE_EQ(r.p_at_5, d(p5) / (5.0 * d(n)));
 }
 
 TEST(Evaluate, MaxSamplesLimits) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -12,20 +13,23 @@
 #include <fstream>
 #include <sstream>
 #include <future>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/adaptive_sgd.h"
 #include "data/synthetic.h"
 #include "fault/checkpoint.h"
+#include "pinned_run.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
-#include "serve/topk.h"
 #include "sim/profiles.h"
 #include "sparse/csr.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace hetero {
 namespace {
@@ -282,6 +286,86 @@ TEST_F(ServeTest, ServesFromLegacyCheckpointVersions) {
   std::remove(v3_path.c_str());
   std::remove(v2_path.c_str());
   std::remove(v1_path.c_str());
+}
+
+// ---- exact scores, frozen -------------------------------------------------
+
+// One snapshot's exact path on a wave: the FNV-1a of the logits' bits, and
+// (label, score bits) of the top 5 of rows 0, 31 and 63.
+struct PinnedScores {
+  std::uint64_t logits_fnv = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> top5;
+
+  bool operator==(const PinnedScores&) const = default;
+};
+
+// gtest prints a mismatching PinnedScores as an initializer.
+void PrintTo(const PinnedScores& p, std::ostream* os) {
+  const auto flags = os->flags();
+  *os << std::hex << "{0x" << p.logits_fnv << "ull,\n {";
+  for (const auto& [label, bits] : p.top5) {
+    *os << std::dec << "{" << label << ", 0x" << std::hex << bits << "u}, ";
+  }
+  *os << "}}";
+  os->flags(flags);
+}
+
+PinnedScores pin_scores(const serve::ModelSnapshot& snap,
+                        const sparse::CsrMatrix& wave) {
+  serve::QueryScratch s;
+  snap.forward_hidden(wave, s);
+  snap.score_output(s);
+  PinnedScores p;
+  p.logits_fnv = core::fnv1a({s.logits.flat().begin(), s.logits.flat().end()});
+  std::vector<serve::ScoredLabel> top;
+  for (const std::size_t row : {0, 31, 63}) {
+    snap.topk_exact(s, row, 5, top);
+    for (const auto& t : top) {
+      p.top5.emplace_back(t.label, std::bit_cast<std::uint32_t>(t.score));
+    }
+  }
+  return p;
+}
+
+// The exact serving path frozen bit for bit on one 64-row wave (test rows
+// 0..63): off the fixture's trained snapshot (one hidden layer), and off a
+// seeded two-hidden-layer model with non-zero biases.
+TEST_F(ServeTest, ExactScoresPinned) {
+  core::AdaptiveSgdTrainer trainer(dataset_, config(),
+                                   sim::v100_heterogeneous(2));
+  trainer.train();
+  serve::SnapshotStore trained;
+  trained.publish(trainer.runtime().global_model(), 0.0);
+
+  nn::Model deep(dataset_.test.features.cols(), {16, 8},
+                 dataset_.test.labels.cols());
+  util::Rng rng(28);
+  deep.init(rng);
+  for (std::size_t l = 0; l < deep.info().num_layers(); ++l) {
+    for (float& b : deep.biases(l)) {
+      b = static_cast<float>(rng.uniform(-0.5, 0.5));
+    }
+  }
+  serve::SnapshotStore deep_store;
+  deep_store.publish(deep, 0.0);
+
+  const auto wave = dataset_.test.features.slice_rows(0, 64);
+  const PinnedScores expect_trained{
+      0xbfa2cf5e0c293d65ull,
+      {{0, 0x401be790u},  {1, 0x3f9e2d8eu},  {2, 0x3f68413fu},
+       {25, 0x3f5228dfu}, {41, 0x3f43b414u}, {0, 0x408b7a4cu},
+       {1, 0x3fce21f8u},  {25, 0x3fa628b8u}, {41, 0x3fa01781u},
+       {56, 0x3f899c48u}, {0, 0x3fc81d6bu},  {1, 0x3f5a88ccu},
+       {4, 0x3f178871u},  {16, 0x3f16caf6u}, {10, 0x3ed138f1u}}};
+  const PinnedScores expect_deep{
+      0xc4a658c8687e0c2aull,
+      {{11, 0x3f5e16aeu}, {7, 0x3f4cf8feu},  {18, 0x3f46eac2u},
+       {8, 0x3f3a1d62u},  {12, 0x3f1ccfe4u}, {11, 0x3f252c62u},
+       {7, 0x3f111a12u},  {26, 0x3f0e7a54u}, {12, 0x3f0760fau},
+       {8, 0x3efd7392u},  {11, 0x3f3f125bu}, {7, 0x3f3bd00eu},
+       {35, 0x3f1d8986u}, {12, 0x3f1a41e2u}, {58, 0x3f12631du}}};
+  EXPECT_EQ(pin_scores(*trained.current(), wave), expect_trained);
+  EXPECT_EQ(pin_scores(*deep_store.current(), wave), expect_deep);
 }
 
 // ---- serving behavior -----------------------------------------------------
