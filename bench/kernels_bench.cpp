@@ -21,6 +21,7 @@
 #include "bench_common.h"
 #include "core/merging.h"
 #include "nn/model.h"
+#include "nn/topk.h"
 #include "slide/simhash.h"
 #include "sparse/ops.h"
 #include "sparse/sparse_gradient.h"
@@ -203,6 +204,26 @@ void BM_SoftmaxRows(benchmark::State& state) {
 BENCHMARK(BM_SoftmaxRows)
     ->Args({1024, 1})->Args({4096, 1})->Args({4096, 2})->Args({4096, 4})
     ->UseRealTime();
+
+// Top-5 of 1000 softmax rows over 4096 classes: evaluation's and the exact
+// serving path's ranking step.
+void BM_SelectTopk(benchmark::State& state) {
+  util::Rng rng(10);
+  tensor::Matrix probs(1000, 4096);
+  tensor::init_gaussian(probs, 1.0, rng);
+  tensor::softmax_rows(probs, {});
+  std::vector<nn::ScoredLabel> top;
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < probs.rows(); ++r) {
+      nn::select_topk({probs.data() + r * probs.cols(), probs.cols()}, 5, top);
+      benchmark::DoNotOptimize(top.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(probs.rows()));
+}
+BENCHMARK(BM_SelectTopk);
 
 // Fork/join overhead: an empty 4-range parallel_for_ranges on a 4-worker
 // pool, the caller running range 0.

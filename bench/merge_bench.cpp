@@ -12,9 +12,15 @@
 //   BM_MergeFusedDense — the sharded zero-copy path: fused reduce+momentum
 //                        over the in-place model segments, then broadcast.
 //   BM_MergeFusedDelta — the sparse_merge path: only the cross-replica
-//                        union of touched W1 rows is reduced; untouched
+//                        union of touched W1 rows is reduced (a replica's
+//                        untouched union row reads as global); untouched
 //                        rows get the closed-form scaling. Includes the
-//                        per-merge union + sort, as the runtime pays it.
+//                        per-merge union + sort and the dense-tail
+//                        hand-back, as the runtime pays them.
+//
+// BM_ReplicaRefresh compares the two hand-backs at train-wide-delta's
+// shape: the eager broadcast against the tail copy plus first-touch pulls,
+// and BM_PerturbationGate times Algorithm 2's L2 gate.
 //
 // The headline shape is the ISSUE acceptance point: 2M features (0.005%
 // density => ~100 nnz/sample => ~23% of rows touched per replica per
@@ -29,6 +35,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -116,6 +123,26 @@ struct MergeSetup {
   void broadcast() {
     for (auto& r : replicas) r.copy_from(global);
   }
+
+  // The sparse-merge hand-back: every segment after W1. Replica W1 rows are
+  // pulled from global on first touch (BM_ReplicaRefresh times the pulls).
+  void refresh_tail() {
+    const auto global_segs = std::as_const(global).segment_views();
+    for (auto& r : replicas) {
+      const auto segs = r.segment_views();
+      for (std::size_t seg = 1; seg < segs.size(); ++seg) {
+        std::copy(global_segs[seg].begin(), global_segs[seg].end(),
+                  segs[seg].begin());
+      }
+    }
+  }
+
+  // Replica i's valid W1 rows after a sparse hand-back: its touched set.
+  std::vector<const sparse::RowSet*> valid() const {
+    std::vector<const sparse::RowSet*> sets;
+    for (const auto& t : touched) sets.push_back(&t);
+    return sets;
+  }
 };
 
 // The PR-1 serial reduction: zero-filled double accumulator + write-back
@@ -184,7 +211,8 @@ void run_fused_delta_merge(MergeSetup& s, sparse::RowSet& merge_union,
     bases[i] = s.replicas[i].weights(0).data();
   }
   core::merge_touched_rows(bases, sorted, s.hidden(), u,
-                           global_segs[0].data(), prev_segs[0].data(), ctx);
+                           global_segs[0].data(), prev_segs[0].data(), ctx,
+                           s.valid());
   core::merge_untouched_rows(merge_union, s.features(), s.hidden(), u,
                              global_segs[0], prev_segs[0], ctx);
   for (std::size_t seg = 1; seg < global_segs.size(); ++seg) {
@@ -194,7 +222,7 @@ void run_fused_delta_merge(MergeSetup& s, sparse::RowSet& merge_union,
     core::merge_segment(bases, global_segs[seg].size(), u, global_segs[seg],
                         prev_segs[seg], kStreams, ctx);
   }
-  s.broadcast();
+  s.refresh_tail();
 }
 
 // Quantized delta merge (DESIGN.md §10): the same work merge_and_update
@@ -253,18 +281,24 @@ void run_quantized_delta_merge(MergeSetup& s, comm::MergePrecision prec,
   double wsum = 0.0;
   for (const double w : s.weights) wsum += w;
 
-  // Pass A: fold this merge's delta into each replica's residual.
+  // Pass A: fold this merge's delta into each replica's residual; a union
+  // row the replica did not touch reads as global.
   for (std::size_t i = 0; i < s.replicas.size(); ++i) {
     const auto rsegs = s.replicas[i].segment_views();
     const auto gsegs = s.global.segment_views();
+    const auto& valid = s.touched[i];
     float* res = qs.residual[i].data();
     kernels::parallel_for_ranges(
         ctx, qs.groups.size(), qs.elems,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t k = begin; k < end; ++k) {
             const auto& q = qs.groups[k];
-            vk.ef_delta(rsegs[q.seg].data() + q.off,
-                        gsegs[q.seg].data() + q.off, res + q.dst, q.len);
+            const float* src = rsegs[q.seg].data() + q.off;
+            if (q.seg == 0 && !valid.contains(static_cast<std::uint32_t>(
+                                  q.off / s.hidden()))) {
+              src = gsegs[0].data() + q.off;
+            }
+            vk.ef_delta(src, gsegs[q.seg].data() + q.off, res + q.dst, q.len);
           }
         });
   }
@@ -355,7 +389,41 @@ void run_quantized_delta_merge(MergeSetup& s, comm::MergePrecision prec,
           }
         });
   }
-  s.broadcast();
+  s.refresh_tail();
+}
+
+// Hands the merged model back to the replicas. Eager: a full copy into
+// every replica. Pull: the dense tail, then each replica's rows as its
+// steps first touch them, copied from global in address order with both
+// ends of the next rows prefetched — the pulls of one mega-batch (the
+// runtime keys each step's rows through a bitmap; that per-step scan is not
+// included).
+void run_replica_refresh(MergeSetup& s, bool pull,
+                         const std::vector<std::vector<std::uint32_t>>& rows) {
+  if (!pull) {
+    s.broadcast();
+    return;
+  }
+  s.refresh_tail();
+  constexpr std::size_t kAhead = 8;
+  constexpr std::size_t kLine = 64 / sizeof(float);
+  const std::size_t cols = s.hidden();
+  const float* src = s.global.weights(0).data();
+  for (std::size_t i = 0; i < s.replicas.size(); ++i) {
+    float* dst = s.replicas[i].weights(0).data();
+    const auto& mine = rows[i];
+    for (std::size_t k = 0; k < mine.size(); ++k) {
+      if (k + kAhead < mine.size()) {
+        const std::size_t next = std::size_t{mine[k + kAhead]} * cols;
+        for (std::size_t c = 0; c < cols; c += kLine) {
+          __builtin_prefetch(src + next + c);
+          __builtin_prefetch(dst + next + c, 1);
+        }
+      }
+      const std::size_t off = std::size_t{mine[k]} * cols;
+      std::copy_n(src + off, cols, dst + off);
+    }
+  }
 }
 
 // args: {log2(features), replicas}
@@ -569,15 +637,38 @@ BENCHMARK(BM_MergeFusedDeltaDeep)
     ->Args({17, 4, 1, 226})
     ->Unit(benchmark::kMillisecond);
 
+// args: {0 = eager broadcast / 1 = tail + first-touch pulls}
+// train-wide-delta's shape: 2^18 features x 64 hidden, 2048 classes, 4
+// replicas, each touching 4.0% of W1 rows per mega-batch.
+void BM_ReplicaRefresh(benchmark::State& state) {
+  MergeSetup s(std::size_t{1} << 18, {kHidden}, 2048, 4, 40);
+  std::vector<std::vector<std::uint32_t>> rows(s.replicas.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    s.touched[i].sorted_rows(rows[i]);
+  }
+  const bool pull = state.range(0) != 0;
+  for (auto _ : state) {
+    run_replica_refresh(s, pull, rows);
+    benchmark::DoNotOptimize(s.replicas.back().weights(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["pulled_rows"] =
+      pull ? static_cast<double>(rows[0].size() * rows.size()) : 0.0;
+  state.SetItemsProcessed(state.iterations() * s.num_parameters() *
+                          static_cast<std::int64_t>(s.replicas.size()));
+}
+BENCHMARK(BM_ReplicaRefresh)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // Algorithm 2's perturbation gate at one merge boundary (DESIGN.md §5c):
 // the exact sweep computes every replica's l2_norm_per_parameter(); the
 // certified bound (MultiGpuRuntime::replicas_l2_below under sparse_merge)
 // reads the global model once plus each replica's touched W1 rows and the
-// dense tail. Each replica equals global outside its touched rows, as after
-// a broadcast, and the default pert_thr of 0.1 lies far above every norm, so
-// the bound decides each replica without the exact fallback.
+// dense tail, both in fixed chunks on the kernel pool. Each replica equals
+// global outside its touched rows, and the default pert_thr of 0.1 lies far
+// above every norm, so the bound decides each replica without the exact
+// fallback.
 // args: {log2(features), replicas, 0 = exact sweep / 1 = certified bound,
-//        per-replica touched permille}
+//        per-replica touched permille, kernel threads}
 void BM_PerturbationGate(benchmark::State& state) {
   MergeSetup s(std::size_t{1} << state.range(0), {kHidden}, kClasses,
                static_cast<std::size_t>(state.range(1)),
@@ -593,6 +684,9 @@ void BM_PerturbationGate(benchmark::State& state) {
   }
   constexpr double kThreshold = 0.1;
   const bool bound = state.range(2) != 0;
+  const auto threads = static_cast<std::size_t>(state.range(4));
+  util::ThreadPool pool(threads);
+  const kernels::Context ctx{threads > 1 ? &pool : nullptr, threads};
   const nn::Model& global = s.global;
   sparse::RowSet merge_union;
   merge_union.reset(s.features());
@@ -600,14 +694,14 @@ void BM_PerturbationGate(benchmark::State& state) {
   for (auto _ : state) {
     bool below = true;
     if (bound) {
-      const double global_l2 = global.l2_norm_per_parameter();
       const auto global_segs = global.segment_views();
+      const double global_l2 = core::l2_per_parameter(global_segs, ctx);
       for (std::size_t i = 0; i < s.replicas.size(); ++i) {
         const nn::Model& replica = s.replicas[i];
         below = below && core::certify_l2_below(
                              replica.segment_views(), global_segs,
                              s.touched[i].rows(), s.hidden(), global_l2,
-                             kThreshold) == core::L2Gate::kBelow;
+                             kThreshold, ctx) == core::L2Gate::kBelow;
       }
     } else {
       for (const auto& replica : s.replicas) {
@@ -623,10 +717,12 @@ void BM_PerturbationGate(benchmark::State& state) {
 // About 2.6% of W1 rows per replica and 10% across 4 replicas, the shares
 // train-wide-delta's mega-batches touch.
 BENCHMARK(BM_PerturbationGate)
-    ->Args({21, 4, 0, 26})
-    ->Args({21, 4, 1, 26})
-    ->Args({17, 4, 0, 26})
-    ->Args({17, 4, 1, 26})
+    ->Args({21, 4, 0, 26, 1})
+    ->Args({21, 4, 1, 26, 1})
+    ->Args({21, 4, 1, 26, 4})
+    ->Args({17, 4, 0, 26, 1})
+    ->Args({17, 4, 1, 26, 1})
+    ->Args({17, 4, 1, 26, 4})
     ->Unit(benchmark::kMillisecond);
 
 // Tiny smoke shape for the bench-smoke ctest label (exercises all merge
@@ -650,6 +746,10 @@ void BM_SmokeMergePaths(benchmark::State& state) {
   QuantDeltaScratch qs8, qs16;
   qs8.build(s);
   qs16.build(s);
+  std::vector<std::vector<std::uint32_t>> rows(s.replicas.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    s.touched[i].sorted_rows(rows[i]);
+  }
   for (auto _ : state) {
     run_pr1_merge(s, global_flat, prev_flat, acc);
     run_fused_dense_merge(s, ctx);
@@ -657,6 +757,8 @@ void BM_SmokeMergePaths(benchmark::State& state) {
     run_quantized_delta_merge(s, comm::MergePrecision::kInt8, qs8, ctx);
     run_quantized_delta_merge(s, comm::MergePrecision::kFp16, qs16, ctx);
     run_fused_delta_merge(deep, deep_union, deep_sorted, ctx);
+    run_replica_refresh(s, false, rows);
+    run_replica_refresh(s, true, rows);
     benchmark::DoNotOptimize(s.global.weights(0).data());
     benchmark::DoNotOptimize(deep.global.weights(0).data());
   }

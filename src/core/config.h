@@ -139,15 +139,16 @@ struct TrainerConfig {
   std::size_t allreduce_streams = 0;    // 0 = number of GPUs (paper optimum)
 
   /// Delta-aware merge: replicas track the union of W1 rows their mega-batch
-  /// touched, and the merge reduces/rebroadcasts only the cross-replica
-  /// union of touched rows — untouched rows (bit-identical across replicas
-  /// since the last broadcast) get the closed-form sum_i w_i * global_row
-  /// scaling plus momentum in one pass. Bit-identical to the dense merge by
-  /// construction; the communication charge shrinks to the delta bytes
-  /// (touched rows x hidden) plus the dense b1/W2/b2 tail. Valid for
-  /// trainers whose replica updates all flow through run_update_step /
-  /// run_gradient_step (adaptive, elastic, sync); trainers that mutate W1
-  /// through dispatch_math must leave this off.
+  /// touched, and the merge reduces only the cross-replica union of touched
+  /// rows — untouched rows (reading as global in every replica since the
+  /// last merge) get the closed-form sum_i w_i * global_row scaling plus
+  /// momentum in one pass. The merge hands back only the dense tail; each
+  /// replica pulls a W1 row from global when a step first touches it.
+  /// Bit-identical to the dense merge by construction; the communication
+  /// charge shrinks to the delta bytes (touched rows x hidden) plus the
+  /// dense b1/W2/b2 tail. Valid for trainers whose replica updates all flow
+  /// through run_update_step / run_gradient_step (adaptive, elastic, sync);
+  /// trainers that mutate W1 through dispatch_math must leave this off.
   bool sparse_merge = false;
 
   /// Merge-payload compression (DESIGN.md §10): quantize the shipped merge

@@ -87,35 +87,79 @@ MergeWeights compute_merge_weights(const MergeInputs& inputs) {
   return out;
 }
 
+namespace {
+
+// Sums chunk(c) for c in [0, kL2GateChunks) on `ctx`, each chunk on one
+// worker, and adds the chunk sums in chunk order.
+template <typename Chunk>
+double sum_l2_chunks(const kernels::Context& ctx, std::size_t work,
+                     Chunk&& chunk) {
+  double part[kL2GateChunks] = {};
+  kernels::parallel_for_ranges(ctx, kL2GateChunks, work,
+                               [&](std::size_t c0, std::size_t c1) {
+                                 for (std::size_t c = c0; c < c1; ++c) {
+                                   part[c] = chunk(c);
+                                 }
+                               });
+  double ss = 0.0;
+  for (const double p : part) ss += p;
+  return ss;
+}
+
+}  // namespace
+
+double l2_per_parameter(std::span<const std::span<const float>> segments,
+                        const kernels::Context& ctx) {
+  assert(!segments.empty());
+  const auto& vk = vec::kernels();
+  const std::span<const float> w1 = segments[0];
+  double ss = sum_l2_chunks(ctx, w1.size(), [&](std::size_t c) {
+    const std::size_t b = w1.size() * c / kL2GateChunks;
+    const std::size_t e = w1.size() * (c + 1) / kL2GateChunks;
+    return vk.sum_squares(w1.data() + b, e - b);
+  });
+  std::size_t params = w1.size();
+  for (std::size_t s = 1; s < segments.size(); ++s) {
+    ss += vk.sum_squares(segments[s].data(), segments[s].size());
+    params += segments[s].size();
+  }
+  return std::sqrt(ss) / static_cast<double>(params);
+}
+
 L2Gate certify_l2_below(std::span<const std::span<const float>> replica,
                         std::span<const std::span<const float>> global,
                         std::span<const std::uint32_t> touched_rows,
-                        std::size_t cols, double global_l2,
-                        double threshold) {
+                        std::size_t cols, double global_l2, double threshold,
+                        const kernels::Context& ctx) {
   assert(replica.size() == global.size());
   std::size_t params = 0;
   for (const auto seg : global) params += seg.size();
   if (params == 0 || params >= kL2GateMaxParameters) return L2Gate::kUndecided;
   const auto& vk = vec::kernels();
-  double ss = 0.0;
-  // Touched rows are scattered over W1, so each row is a cache (and often
-  // TLB) miss; prefetching a few rows ahead overlaps those misses.
-  constexpr std::size_t kAhead = 16;
-  constexpr std::size_t kLine = 64 / sizeof(float);
-  for (std::size_t i = 0; i < touched_rows.size(); ++i) {
-    if (i + kAhead < touched_rows.size()) {
-      const std::size_t next =
-          static_cast<std::size_t>(touched_rows[i + kAhead]) * cols;
-      for (std::size_t c = 0; c < cols; c += kLine) {
-        __builtin_prefetch(replica[0].data() + next + c);
-        __builtin_prefetch(global[0].data() + next + c);
+  const std::size_t n = touched_rows.size();
+  double ss = sum_l2_chunks(ctx, n * cols, [&](std::size_t c) {
+    // Touched rows are scattered over W1, so each row is a cache (and often
+    // TLB) miss; prefetching a few rows ahead overlaps those misses.
+    constexpr std::size_t kAhead = 16;
+    constexpr std::size_t kLine = 64 / sizeof(float);
+    const std::size_t end = n * (c + 1) / kL2GateChunks;
+    double chunk = 0.0;
+    for (std::size_t i = n * c / kL2GateChunks; i < end; ++i) {
+      if (i + kAhead < end) {
+        const std::size_t next =
+            static_cast<std::size_t>(touched_rows[i + kAhead]) * cols;
+        for (std::size_t k = 0; k < cols; k += kLine) {
+          __builtin_prefetch(replica[0].data() + next + k);
+          __builtin_prefetch(global[0].data() + next + k);
+        }
       }
+      const std::size_t off = static_cast<std::size_t>(touched_rows[i]) * cols;
+      assert(off + cols <= global[0].size());
+      chunk += vk.squared_distance(replica[0].data() + off,
+                                   global[0].data() + off, cols);
     }
-    const std::size_t off = static_cast<std::size_t>(touched_rows[i]) * cols;
-    assert(off + cols <= global[0].size());
-    ss += vk.squared_distance(replica[0].data() + off, global[0].data() + off,
-                              cols);
-  }
+    return chunk;
+  });
   for (std::size_t s = 1; s < global.size(); ++s) {
     assert(replica[s].size() == global[s].size());
     ss += vk.squared_distance(replica[s].data(), global[s].data(),
@@ -152,19 +196,21 @@ namespace {
 constexpr std::size_t kMergeBlock = 512;
 
 // Fused reduce + update of elements [off, off+len) of one segment, where
-// each source pointer i yields x_i[j] for the weighted sum. The vec merge
-// kernels are element-wise in double, so the block stays bit-identical to
-// the element-at-a-time reference on every ISA; the momentum finalize
-// mirrors momentum_global_update exactly (same float expression, same
-// order) — keep the two in sync or the determinism contract breaks.
-inline void merge_block(std::span<const float* const> sources,
-                        std::size_t off, std::size_t len,
-                        const MergeUpdate& u, float* global, float* prev,
-                        const vec::VecKernels& vk) {
+// source(i)[j] is x_i[j] for the weighted sum over the u.weights.size()
+// replicas. The vec merge kernels are element-wise in double, so the block
+// stays bit-identical to the element-at-a-time reference on every ISA; the
+// momentum finalize mirrors momentum_global_update exactly (same float
+// expression, same order) — keep the two in sync or the determinism
+// contract breaks. Every source is read before global is written, so a
+// source may alias global.
+template <typename Source>
+inline void merge_block(const Source& source, std::size_t off,
+                        std::size_t len, const MergeUpdate& u, float* global,
+                        float* prev, const vec::VecKernels& vk) {
   double acc[kMergeBlock];
-  vk.merge_init(acc, sources[0] + off, u.weights[0], len);
-  for (std::size_t i = 1; i < sources.size(); ++i) {
-    vk.merge_accum(acc, sources[i] + off, u.weights[i], len);
+  vk.merge_init(acc, source(0) + off, u.weights[0], len);
+  for (std::size_t i = 1; i < u.weights.size(); ++i) {
+    vk.merge_accum(acc, source(i) + off, u.weights[i], len);
   }
   float* g = global + off;
   float* p = prev + off;
@@ -215,8 +261,9 @@ inline void merge_range(std::span<const float* const> sources,
                         const MergeUpdate& u, float* global, float* prev,
                         std::size_t begin, std::size_t end,
                         const vec::VecKernels& vk) {
+  const auto source = [&](std::size_t i) { return sources[i]; };
   for (std::size_t o = begin; o < end; o += kMergeBlock) {
-    merge_block(sources, o, std::min(kMergeBlock, end - o), u, global, prev,
+    merge_block(source, o, std::min(kMergeBlock, end - o), u, global, prev,
                 vk);
   }
 }
@@ -310,18 +357,25 @@ void merge_touched_rows_quantized(const QuantizedSources& src,
 void merge_touched_rows(std::span<const float* const> replicas,
                         std::span<const std::uint32_t> rows, std::size_t cols,
                         const MergeUpdate& u, float* global, float* prev,
-                        const kernels::Context& ctx) {
+                        const kernels::Context& ctx,
+                        std::span<const sparse::RowSet* const> valid) {
   assert(replicas.size() == u.weights.size());
+  assert(valid.empty() || valid.size() == replicas.size());
   if (rows.empty() || cols == 0) return;
   const std::size_t work = rows.size() * cols * replicas.size();
   const auto& vk = vec::kernels();
   kernels::parallel_for_ranges(
       ctx, rows.size(), work, [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
+          // A stale replica row is read from global, its value.
+          const auto source = [&](std::size_t i) {
+            return valid.empty() || valid[i]->contains(rows[r]) ? replicas[i]
+                                                                : global;
+          };
           const std::size_t base = static_cast<std::size_t>(rows[r]) * cols;
           for (std::size_t o = 0; o < cols; o += kMergeBlock) {
-            merge_block(replicas, base + o,
-                        std::min(kMergeBlock, cols - o), u, global, prev, vk);
+            merge_block(source, base + o, std::min(kMergeBlock, cols - o), u,
+                        global, prev, vk);
           }
         }
       });
@@ -335,12 +389,14 @@ void merge_untouched_rows(const sparse::RowSet& touched, std::size_t num_rows,
   assert(prev.size() == global.size());
   if (num_rows == 0 || cols == 0) return;
   const std::size_t n = u.weights.size();
-  // Every "replica" source aliases the global base: untouched rows are
-  // bit-equal to global since the last broadcast, so feeding global through
-  // the same merge_block reproduces the dense kernel's n-term sum without
-  // touching any replica memory. merge_block reads the whole block into the
+  // Every "replica" source aliases the global base: untouched rows read as
+  // global since the last merge, so feeding global through the same
+  // merge_block reproduces the dense kernel's n-term sum without touching
+  // any replica memory. merge_block reads the whole block into the
   // accumulator before the finalize loop writes it, so the alias is safe.
-  const std::vector<const float*> sources(n, global.data());
+  const auto source = [&](std::size_t) -> const float* {
+    return global.data();
+  };
   const std::size_t untouched =
       num_rows - std::min(num_rows, touched.size());
   const std::size_t work = untouched * cols * n;
@@ -351,9 +407,8 @@ void merge_untouched_rows(const sparse::RowSet& touched, std::size_t num_rows,
           if (touched.contains(static_cast<std::uint32_t>(r))) continue;
           const std::size_t base = r * cols;
           for (std::size_t o = 0; o < cols; o += kMergeBlock) {
-            merge_block(sources, base + o,
-                        std::min(kMergeBlock, cols - o), u, global.data(),
-                        prev.data(), vk);
+            merge_block(source, base + o, std::min(kMergeBlock, cols - o), u,
+                        global.data(), prev.data(), vk);
           }
         }
       });

@@ -104,22 +104,34 @@ enum class L2Gate { kBelow, kNotBelow, kUndecided };
 
 /// Relative slack applied to each side of the bound. It covers the rounding
 /// of the three double sums involved (the exact norm, G and D), each within
-/// P * 2^-53 relative for P < kL2GateMaxParameters, so a decided answer
-/// always equals the exact test. Larger models always answer kUndecided.
+/// P * 2^-53 relative in any summation order for P < kL2GateMaxParameters,
+/// so a decided answer always equals the exact test. Larger models always
+/// answer kUndecided.
 inline constexpr double kL2GateSlack = 1e-6;
 inline constexpr std::size_t kL2GateMaxParameters = std::size_t{1} << 32;
+
+/// G and D sum segment 0 in this many fixed chunks, spread over the kernel
+/// pool and added in chunk order: the same bits at every thread count.
+inline constexpr std::size_t kL2GateChunks = 16;
+
+/// G = ||g||_2 / P of a model given as its segment_views(): segment 0 in
+/// kL2GateChunks chunks on `ctx`, then the later segments.
+double l2_per_parameter(std::span<const std::span<const float>> segments,
+                        const kernels::Context& ctx);
 
 /// Certified form of `replica.l2_norm_per_parameter() < threshold` for a
 /// replica that equals `global` outside `touched_rows` of segment 0 (row-major,
 /// `cols` floats per row); the later segments are compared in full.
 /// `replica` and `global` are the two models' segment_views() and
-/// `global_l2` is global.l2_norm_per_parameter(). kUndecided (the answer
-/// whenever the bound straddles the threshold, or a norm is NaN) leaves the
-/// exact sweep to the caller.
+/// `global_l2` is G (l2_per_parameter of global). D sums the touched rows
+/// in kL2GateChunks chunks on `ctx`. kUndecided (the answer whenever the
+/// bound straddles the threshold, or a norm is NaN) leaves the exact sweep
+/// to the caller.
 L2Gate certify_l2_below(std::span<const std::span<const float>> replica,
                         std::span<const std::span<const float>> global,
                         std::span<const std::uint32_t> touched_rows,
-                        std::size_t cols, double global_l2, double threshold);
+                        std::size_t cols, double global_l2, double threshold,
+                        const kernels::Context& ctx = {});
 
 /// Elastic membership (fault subsystem): expands weights computed by
 /// compute_merge_weights over the alive subset into a full per-replica
@@ -147,7 +159,8 @@ void momentum_global_update(std::span<const float> merged,
 // order) and the momentum update is applied to the global/previous-global
 // models in the same pass. The merged value only ever lives in a stack
 // block — no model-sized accumulator, no staging flats, and no replica
-// writes (replicas are refreshed by the broadcast that follows the merge).
+// writes (the runtime hands the new model back to the replicas after the
+// merge).
 //
 // Determinism contract: every kernel evaluates the bit-exact same
 // per-element expression in the same order —
@@ -177,13 +190,17 @@ void merge_segment(std::span<const float* const> replicas, std::size_t len,
                    const kernels::Context& ctx);
 
 /// Fused merge restricted to `rows` of a row-major (num_rows x cols)
-/// segment: the delta path's reduced+rebroadcast set. `rows` must be
-/// deduplicated (sorted recommended for locality); replicas/global/prev
-/// point at the full segment base.
+/// segment: the delta path's reduced set. `rows` must be deduplicated
+/// (sorted recommended for locality); replicas/global/prev point at the full
+/// segment base. When `valid` is given (one set per replica), replica i's
+/// row r is read only if valid[i] contains r; otherwise the replica holds
+/// it stale and global's row — its value — is the source. An empty `valid`
+/// reads every replica row.
 void merge_touched_rows(std::span<const float* const> replicas,
                         std::span<const std::uint32_t> rows, std::size_t cols,
                         const MergeUpdate& u, float* global, float* prev,
-                        const kernels::Context& ctx);
+                        const kernels::Context& ctx,
+                        std::span<const sparse::RowSet* const> valid = {});
 
 // ---- Quantized merge (compressed payloads, DESIGN.md §10) ----------------
 //
@@ -246,8 +263,8 @@ void merge_touched_rows_quantized(const QuantizedSources& src,
                                   float* prev, const kernels::Context& ctx);
 
 /// Closed-form complement of merge_touched_rows: rows NOT in `touched` are
-/// bit-identical across replicas (untouched since the last broadcast), so
-/// the reduction needs no replica reads — it re-accumulates
+/// bit-identical across replicas (each reads as global since the last
+/// merge), so the reduction needs no replica reads — it re-accumulates
 /// sum_i w_i global[j] in the same fixed order, which is bit-identical to
 /// the dense kernel reading the n equal replica copies.
 void merge_untouched_rows(const sparse::RowSet& touched, std::size_t num_rows,

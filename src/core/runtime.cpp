@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "core/merging.h"
 #include "tensor/vec/vec.h"
@@ -45,9 +47,14 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
   util::Rng init_rng(cfg.seed);
   global_.init(init_rng);
   prev_global_ = global_;
-  global_optimizer_ = nn::Optimizer::make(cfg_.optimizer, global_);
 
   const std::size_t n = devices.size();
+  replicas_.assign(n, global_);
+  w1_fresh_.assign(n, 1);
+  workspaces_.resize(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    optimizers_.push_back(nn::Optimizer::make(cfg_.optimizer, replicas_[g]));
+  }
   const std::size_t streams =
       cfg_.allreduce_streams != 0 ? cfg_.allreduce_streams : n;
   reducer_ =
@@ -62,13 +69,8 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
     // Persistent allocations: model replica + dense gradients plus one
     // model-sized state matrix per optimizer slot (adam/adamw: 2, adagrad:
     // 1, sgd: 0) stay resident for the whole run.
-    gpus_.back()->allocate(
-        (2 + global_optimizer_->num_slots()) * global_.num_bytes());
-  }
-  replicas_.assign(n, global_);
-  workspaces_.resize(n);
-  for (std::size_t g = 0; g < n; ++g) {
-    optimizers_.push_back(nn::Optimizer::make(cfg_.optimizer, replicas_[g]));
+    gpus_.back()->allocate((2 + optimizers_[g]->num_slots()) *
+                           global_.num_bytes());
   }
   // Cap absurd requests (e.g. --kernel-threads 100000) before sizing the
   // pool; oversubscription past this helps nobody.
@@ -94,6 +96,9 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
     touched_w1_.resize(n);
     for (auto& t : touched_w1_) t.reset(num_features);
     merge_union_.reset(num_features);
+    merge_valid_.reserve(n);
+    pull_bits_.assign(n, std::vector<std::uint64_t>((num_features + 63) / 64));
+    pull_rows_.resize(n);
   }
   {
     // Flat layout of the model segments (residual indexing) and the dense
@@ -115,7 +120,89 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
     q8_scratch_.resize(n);
     scale_scratch_.resize(n);
   }
-  broadcast_global();
+}
+
+nn::Model& MultiGpuRuntime::replica(std::size_t g) {
+  resolve_replica(g);
+  return replicas_[g];
+}
+
+nn::Optimizer& MultiGpuRuntime::global_optimizer() {
+  if (!global_optimizer_) {
+    global_optimizer_ = nn::Optimizer::make(cfg_.optimizer, global_);
+  }
+  return *global_optimizer_;
+}
+
+void MultiGpuRuntime::pull_stale_rows(std::size_t g,
+                                      const sparse::CsrMatrix& x) {
+  if (w1_fresh_[g]) return;
+  // The batch's columns outside the touched set, deduplicated and sorted
+  // through a one-bit-per-row bitmap as SparseGradient::reset keys them;
+  // each word is cleared as it is read back.
+  const auto& touched = touched_w1_[g];
+  auto& bits = pull_bits_[g];
+  auto& rows = pull_rows_[g];
+  for (const auto c : x.col_idx()) {
+    if (!touched.contains(c)) bits[c / 64] |= std::uint64_t{1} << (c % 64);
+  }
+  rows.clear();
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    std::uint64_t word = bits[w];
+    if (word == 0) continue;
+    bits[w] = 0;
+    const auto base = static_cast<std::uint32_t>(w * 64);
+    for (; word != 0; word &= word - 1) {
+      rows.push_back(base + static_cast<std::uint32_t>(std::countr_zero(word)));
+    }
+  }
+  // Rows are scattered over W1: prefetch both ends of the copy a few rows
+  // ahead (the destination for writing), or each row waits on two misses.
+  constexpr std::size_t kAhead = 8;
+  constexpr std::size_t kLine = 64 / sizeof(float);
+  const std::size_t cols = global_.info().input_cols();
+  const float* src = global_.weights(0).data();
+  float* dst = replicas_[g].weights(0).data();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i + kAhead < rows.size()) {
+      const std::size_t next =
+          static_cast<std::size_t>(rows[i + kAhead]) * cols;
+      for (std::size_t k = 0; k < cols; k += kLine) {
+        __builtin_prefetch(src + next + k);
+        __builtin_prefetch(dst + next + k, 1);
+      }
+    }
+    const std::size_t off = static_cast<std::size_t>(rows[i]) * cols;
+    std::copy_n(src + off, cols, dst + off);
+  }
+}
+
+void MultiGpuRuntime::resolve_replica(std::size_t g) {
+  if (w1_fresh_[g]) return;
+  math_barrier();
+  // Every W1 row outside the touched set, in maximal runs between touched
+  // rows so the copy runs at memcpy speed.
+  const auto& touched = touched_w1_[g];
+  const std::size_t rows = global_.info().input_rows();
+  const std::size_t cols = global_.info().input_cols();
+  const float* src = global_.weights(0).data();
+  float* dst = replicas_[g].weights(0).data();
+  kernels::parallel_for_ranges(
+      merge_ctx_, rows, rows * cols, [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1;) {
+          if (touched.contains(static_cast<std::uint32_t>(r))) {
+            ++r;
+            continue;
+          }
+          std::size_t e = r + 1;
+          while (e < r1 && !touched.contains(static_cast<std::uint32_t>(e))) {
+            ++e;
+          }
+          std::copy(src + r * cols, src + e * cols, dst + r * cols);
+          r = e;
+        }
+      });
+  w1_fresh_[g] = 1;
 }
 
 double MultiGpuRuntime::gpu_free_at(std::size_t g) const {
@@ -182,8 +269,13 @@ std::vector<std::size_t> MultiGpuRuntime::apply_crashes_until(double t) {
     crash_time_[ev.device] = ev.time;
     // Drop the crashed replica's pending merge contributions: its
     // touched-row union, accumulated loss, and error-feedback residual
-    // vanish with the device.
-    if (cfg_.sparse_merge) touched_w1_[ev.device].clear();
+    // vanish with the device. Its stale rows are copied in first, while
+    // the touched set still tells them apart and global still holds the
+    // model it last merged into.
+    if (cfg_.sparse_merge) {
+      resolve_replica(ev.device);
+      touched_w1_[ev.device].clear();
+    }
     if (!residual_.empty()) {
       std::fill(residual_[ev.device].begin(), residual_[ev.device].end(),
                 0.0f);
@@ -204,6 +296,7 @@ std::vector<std::size_t> MultiGpuRuntime::apply_joins_until(double t) {
     if (alive_[ev.device]) continue;  // already a member (restored state)
     gpus_[ev.device]->revive_at(t);
     replicas_[ev.device].copy_from(global_);
+    w1_fresh_[ev.device] = 1;
     // A joiner seeds from the merged global model; any residual left from
     // its previous membership describes deltas that no longer exist.
     if (!residual_.empty()) {
@@ -289,6 +382,7 @@ double MultiGpuRuntime::run_update_step(std::size_t g, Batch batch, double lr,
   auto stored = std::make_shared<Batch>(std::move(batch));
   last_batch_[g] = stored;
   executor_->dispatch(g, [this, g, stored, lr] {
+    pull_stale_rows(g, stored->x);
     // compute + apply through the optimizer: for sgd this is bit-identical
     // to the old fused train_step (train_step == compute_gradients +
     // apply_gradients, and SgdOptimizer::apply IS apply_gradients).
@@ -314,6 +408,7 @@ double MultiGpuRuntime::run_gradient_step(std::size_t g, Batch batch,
   auto stored = std::make_shared<Batch>(std::move(batch));
   last_batch_[g] = stored;
   executor_->dispatch(g, [this, g, stored] {
+    pull_stale_rows(g, stored->x);
     const auto stats =
         replicas_[g].compute_gradients(stored->x, stored->y, workspaces_[g]);
     // Conservative for gradient-only steps (the rows may be applied later
@@ -401,7 +496,7 @@ double MultiGpuRuntime::host_roundtrip_seconds(std::size_t bytes) const {
 std::size_t MultiGpuRuntime::merge_optimizer_state(
     std::span<const std::size_t> alive_idx,
     std::span<const double> alive_weights) {
-  const std::size_t num_slots = global_optimizer_->num_slots();
+  const std::size_t num_slots = optimizers_[alive_idx[0]]->num_slots();
   if (num_slots == 0) return 0;  // sgd: nothing to merge
   const std::size_t n = alive_idx.size();
   switch (cfg_.moment_merge) {
@@ -539,7 +634,7 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
   // the model update is executed by the scheduler — fewer CPU-GPU
   // transfers). No to_flat()/from_flat() staging and no model-sized
   // accumulator: the kernels stream each replica once and write only the
-  // global/previous-global models; replicas are refreshed by the broadcast.
+  // global/previous-global models; the hand-back below refreshes replicas.
   auto global_segs = global_.segment_views();
   auto prev_segs = prev_global_.segment_views();
   std::vector<std::vector<std::span<float>>> replica_segs;
@@ -563,21 +658,26 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
       for (std::size_t s = 0; s < num_segments; ++s) merge_dense_segment(s);
     } else {
       // Delta path: only the cross-replica union of touched input-layer rows
-      // is reduced (and later rebroadcast); untouched rows — bit-identical
-      // across replicas since the last broadcast — collapse to the
-      // closed-form sum_i w_i * global_row, same accumulation order. The
+      // is reduced; untouched rows — reading as global in every replica
+      // since the last merge — collapse to the closed-form
+      // sum_i w_i * global_row, same accumulation order. Within the union,
+      // a replica's untouched row is stale and reads from global too. The
       // sparse layer is segment 0 of segment_views() by the Model contract.
       merge_union_.clear();
       // Crashed replicas' unions were dropped at apply_crashes_until; union
       // only the alive members so the reduced set matches the survivor run.
-      for (const std::size_t g : alive_idx) merge_union_.add(touched_w1_[g]);
+      merge_valid_.clear();
+      for (const std::size_t g : alive_idx) {
+        merge_valid_.push_back(&touched_w1_[g]);
+        merge_union_.add(touched_w1_[g]);
+      }
       merge_union_.sorted_rows(merge_rows_scratch_);
       const auto& info = global_.info();
       const std::size_t hidden = info.input_cols();
       for (std::size_t i = 0; i < n; ++i) bases[i] = replica_segs[i][0].data();
       merge_touched_rows(bases, merge_rows_scratch_, hidden, update,
                          global_segs[0].data(), prev_segs[0].data(),
-                         merge_ctx_);
+                         merge_ctx_, merge_valid_);
       merge_untouched_rows(merge_union_, info.input_rows(), hidden, update,
                            global_segs[0], prev_segs[0], merge_ctx_);
       for (std::size_t s = 1; s < num_segments; ++s) merge_dense_segment(s);
@@ -603,7 +703,6 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
       merge_union_.sorted_rows(merge_rows_scratch_);
       union_rows = merge_rows_scratch_;
       timing.touched_rows = merge_union_.size();
-      for (auto& t : touched_w1_) t.clear();
     }
     const std::size_t elems = build_quant_groups(union_rows, hidden);
     const std::size_t num_groups = quant_groups_.size();
@@ -618,19 +717,30 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
 
     // Pass A — error feedback: r += replica - global over the merge region
     // (pre-merge global). W1 rows outside the union keep their pending
-    // residual until a later merge ships them.
+    // residual until a later merge ships them. A union row the replica did
+    // not touch is stale and reads as global, whose row is its value.
     for (std::size_t i = 0; i < n; ++i) {
       float* res = residual_[alive_idx[i]].data();
       const auto& rsegs = replica_segs[i];
+      const sparse::RowSet* valid =
+          cfg_.sparse_merge ? &touched_w1_[alive_idx[i]] : nullptr;
       kernels::parallel_for_ranges(
           merge_ctx_, num_groups, elems, [&](std::size_t g0, std::size_t g1) {
             for (std::size_t g = g0; g < g1; ++g) {
               const auto& q = quant_groups_[g];
-              vk.ef_delta(rsegs[q.seg].data() + q.off,
-                          global_segs[q.seg].data() + q.off, res + q.flat,
-                          q.len);
+              const float* src = rsegs[q.seg].data() + q.off;
+              if (q.seg == 0 && valid != nullptr &&
+                  !valid->contains(
+                      static_cast<std::uint32_t>(q.off / hidden))) {
+                src = global_segs[0].data() + q.off;
+              }
+              vk.ef_delta(src, global_segs[q.seg].data() + q.off,
+                          res + q.flat, q.len);
             }
           });
+    }
+    if (cfg_.sparse_merge) {
+      for (auto& t : touched_w1_) t.clear();
     }
 
     // Pass B — quantize from the residuals (retry-safe: the residuals are
@@ -786,7 +896,18 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
   // while merge_rows_scratch_ still holds this merge's touched union.
   const std::size_t moment_params =
       merge_optimizer_state(alive_idx, alive_weights);
-  broadcast_global();
+  if (cfg_.sparse_merge) {
+    // Hand back the dense tail only; W1 rows are pulled on first touch.
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t s = 1; s < num_segments; ++s) {
+        std::copy(global_segs[s].begin(), global_segs[s].end(),
+                  replica_segs[i][s].begin());
+      }
+      w1_fresh_[alive_idx[i]] = 0;
+    }
+  } else {
+    broadcast_global();
+  }
 
   // Charge the collective at the simulated (paper-scale) payload size, like
   // every other kernel/transfer cost; compressed merges bill the quantized
@@ -829,9 +950,9 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
 }
 
 bool MultiGpuRuntime::replicas_l2_below(std::span<const std::size_t> replicas,
-                                        double threshold) const {
+                                        double threshold) {
   const auto exact_below = [&](std::size_t g) {
-    return replicas_[g].l2_norm_per_parameter() < threshold;
+    return replica(g).l2_norm_per_parameter() < threshold;
   };
   if (!cfg_.sparse_merge) {
     return std::all_of(replicas.begin(), replicas.end(), exact_below);
@@ -839,13 +960,15 @@ bool MultiGpuRuntime::replicas_l2_below(std::span<const std::size_t> replicas,
   // Read at the gate, not cached from the merge: a write through the
   // non-const global_model() (restore, tests) would leave a cached norm
   // stale.
-  const double global_l2 = global_.l2_norm_per_parameter();
-  const auto global_segs = global_.segment_views();
+  const auto global_segs = std::as_const(global_).segment_views();
+  const double global_l2 = l2_per_parameter(global_segs, merge_ctx_);
   const std::size_t cols = global_.info().input_cols();
   for (const std::size_t g : replicas) {
-    switch (certify_l2_below(replicas_[g].segment_views(), global_segs,
-                             touched_w1_[g].rows(), cols, global_l2,
-                             threshold)) {
+    // D reads only touched rows and the dense tail, which are current in a
+    // stale replica.
+    switch (certify_l2_below(std::as_const(replicas_[g]).segment_views(),
+                             global_segs, touched_w1_[g].rows(), cols,
+                             global_l2, threshold, merge_ctx_)) {
       case L2Gate::kBelow:
         break;
       case L2Gate::kNotBelow:
@@ -860,8 +983,9 @@ bool MultiGpuRuntime::replicas_l2_below(std::span<const std::size_t> replicas,
 
 void MultiGpuRuntime::broadcast_global() {
   for (std::size_t g = 0; g < replicas_.size(); ++g) {
-    if (!alive_.empty() && !alive_[g]) continue;  // dead replicas rejoin later
+    if (!alive_[g]) continue;  // dead replicas rejoin later
     replicas_[g].copy_from(global_);
+    w1_fresh_[g] = 1;
   }
 }
 

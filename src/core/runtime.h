@@ -48,7 +48,13 @@ class MultiGpuRuntime {
 
   sim::VirtualGpu& gpu(std::size_t g) { return *gpus_[g]; }
   const sim::VirtualGpu& gpu(std::size_t g) const { return *gpus_[g]; }
-  nn::Model& replica(std::size_t g) { return replicas_[g]; }
+  /// Replica g's model, every parameter current. Under sparse_merge a
+  /// merge hands W1 back lazily: a replica's W1 rows outside the rows it
+  /// touched since the merge hold stale values that read as global, and
+  /// each step pulls the rows its batch reads. The first call after a
+  /// merge waits for in-flight math and copies the stale rows in from
+  /// global; later calls are O(1). Call from the scheduler thread only.
+  nn::Model& replica(std::size_t g);
   nn::ModelWorkspace& workspace(std::size_t g) { return workspaces_[g]; }
 
   /// Replica g's update rule + state (cfg.optimizer). Trainers whose
@@ -62,9 +68,16 @@ class MultiGpuRuntime {
 
   /// Shared update rule + state for the global model: the
   /// gradient-aggregating trainers (sync, async, parameter server) apply
-  /// their aggregated gradients through this one.
-  nn::Optimizer& global_optimizer() { return *global_optimizer_; }
-  const nn::Optimizer& global_optimizer() const { return *global_optimizer_; }
+  /// their aggregated gradients through this one. Built on the first call,
+  /// so runs that never call it hold no model-sized state for it.
+  nn::Optimizer& global_optimizer();
+
+  /// Zeroes the global optimizer's state if global_optimizer() has built it
+  /// (a checkpoint without an optimizer section); an unbuilt one starts
+  /// from zero anyway.
+  void reset_global_optimizer_state() {
+    if (global_optimizer_) global_optimizer_->reset_state();
+  }
 
   /// Earliest time device g can accept new work (compute stream), pushed
   /// past any stall window; +infinity when the device is dead by then.
@@ -114,7 +127,9 @@ class MultiGpuRuntime {
 
   /// Applies scheduled crashes with event time <= t: marks the replicas
   /// dead and drops their pending merge state (touched-row unions, loss
-  /// slots). Call after math_barrier(), before computing merge weights.
+  /// slots). A crashing replica first copies in its stale W1 rows, so it
+  /// keeps the model it last merged into plus its own steps since. Call
+  /// after math_barrier(), before computing merge weights.
   /// Returns the replica indices crashed by this call; each event fires
   /// once.
   std::vector<std::size_t> apply_crashes_until(double t);
@@ -157,7 +172,8 @@ class MultiGpuRuntime {
 
   /// One SGD step on replica g (forward+backward+update with lr). Charges
   /// the batch host->GPU transfer (overlapped with previous compute) and
-  /// the kernel sequence; dispatches the real math to g's manager.
+  /// the kernel sequence; dispatches the real math to g's manager, which
+  /// first pulls the batch's stale W1 rows from global (see replica()).
   /// Returns the virtual finish time. The batch is retained as g's
   /// `last_batch` until the next step on g.
   double run_update_step(std::size_t g, Batch batch, double lr,
@@ -264,8 +280,12 @@ class MultiGpuRuntime {
 
   /// Merges replicas with the given weights via the configured all-reduce,
   /// applies the momentum global update on the host (the scheduler-side
-  /// choice of Section IV), and broadcasts the new global model to every
+  /// choice of Section IV), and hands the new global model back to every
   /// alive replica; alive devices synchronize their clocks to `finish`.
+  /// A dense merge copies the whole model into each replica. A sparse merge
+  /// copies only the dense tail (every segment after W1) and marks replica
+  /// W1 stale: each row is copied on its first touch (run_update_step) or
+  /// when something reads the whole replica (replica(), a crash).
   ///
   /// `weights` is always full-size (one entry per replica); only alive
   /// replicas participate — their weight entries are compacted in replica
@@ -278,21 +298,21 @@ class MultiGpuRuntime {
 
   /// Algorithm 2's perturbation gate: true when every replica in `replicas`
   /// has l2_norm_per_parameter() < threshold, and exactly when that holds
-  /// (DESIGN.md §5c). With sparse_merge on, a replica equals the global
-  /// model outside the W1 rows it touched since the last broadcast, so
-  /// certify_l2_below decides it from one pass over the global model plus
-  /// those rows and the dense tail; the exact sweep runs only where the
-  /// bound cannot decide. Dense runs track no rows and sweep every replica.
-  /// Stops at the first replica not below. Changes no state; call after
-  /// math_barrier().
+  /// (DESIGN.md §5c). With sparse_merge on, outside the W1 rows it touched
+  /// since the last merge a replica reads as global, so certify_l2_below
+  /// decides it from one pooled pass over the global model plus those rows
+  /// and the dense tail; the exact sweep runs only where the bound cannot
+  /// decide, on the resolved replica (replica()). Dense runs track no rows
+  /// and sweep every replica. Stops at the first replica not below. Changes
+  /// no model value; call after math_barrier().
   bool replicas_l2_below(std::span<const std::size_t> replicas,
-                         double threshold) const;
+                         double threshold);
 
   /// The current global model (host copy).
   const nn::Model& global_model() const { return global_; }
   nn::Model& global_model() { return global_; }
 
-  /// Copies the global model into every replica (used at initialization and
+  /// Copies the global model into every alive replica (used at restore and
   /// by trainers that keep identical replicas).
   void broadcast_global();
 
@@ -325,7 +345,7 @@ class MultiGpuRuntime {
   sim::Tracer* tracer() { return tracer_; }
 
   /// Fired at the end of every merge_and_update, after the momentum global
-  /// update and broadcast, with the new global model and the boundary's
+  /// update and the hand-back, with the new global model and the boundary's
   /// virtual finish time. This is the serving publication point
   /// (serve::SnapshotStore::publish): the model passed is exactly the
   /// state a checkpoint captured at the same boundary would serialize.
@@ -359,9 +379,10 @@ class MultiGpuRuntime {
   std::vector<nn::Model> replicas_;
   std::vector<nn::ModelWorkspace> workspaces_;
   // Update rules + state (cfg.optimizer): one per replica plus one for the
-  // global model. Crash/join always resets the affected replica's state
-  // (moments describing a dead replica's trajectory are meaningless to the
-  // fresh seed); merge boundaries apply cfg.moment_merge.
+  // global model, built by the first global_optimizer() call. Crash/join
+  // always resets the affected replica's state (moments describing a dead
+  // replica's trajectory are meaningless to the fresh seed); merge
+  // boundaries apply cfg.moment_merge.
   std::vector<std::unique_ptr<nn::Optimizer>> optimizers_;
   std::unique_ptr<nn::Optimizer> global_optimizer_;
 
@@ -381,10 +402,28 @@ class MultiGpuRuntime {
   // Delta-merge state (cfg.sparse_merge): per-replica mega-batch unions of
   // touched W1 rows, written by each GPU's manager inside its dispatched
   // step and read by the scheduler after math_barrier(); plus the
-  // cross-replica union + sorted scratch used during the merge.
+  // cross-replica union + sorted scratch and the alive replicas' touched
+  // sets (merge_touched_rows' valid sets) used during the merge.
   std::vector<sparse::RowSet> touched_w1_;
   sparse::RowSet merge_union_;
   std::vector<std::uint32_t> merge_rows_scratch_;
+  std::vector<const sparse::RowSet*> merge_valid_;
+
+  // Pull on first touch (DESIGN.md §5c). w1_fresh_[g] is 0 from a sparse
+  // merge until replica g is resolved, joins or is broadcast to; meanwhile
+  // its valid W1 rows are exactly touched_w1_[g] and every other row reads
+  // as global, which does not change before the next merge. Only the
+  // scheduler writes the flags, after math_barrier(). pull_bits_ (one bit
+  // per W1 row, all zero between steps) and pull_rows_ are each manager's
+  // scratch for the batch's stale rows.
+  std::vector<char> w1_fresh_;
+  std::vector<std::vector<std::uint64_t>> pull_bits_;
+  std::vector<std::vector<std::uint32_t>> pull_rows_;
+  // Copies the rows of x's columns that replica g holds stale from global.
+  // Runs inside g's manager work item, before the step reads the model.
+  void pull_stale_rows(std::size_t g, const sparse::CsrMatrix& x);
+  // Copies every stale W1 row of replica g from global and marks it fresh.
+  void resolve_replica(std::size_t g);
   // Context for the merge kernels (scheduler-side, whole pool).
   kernels::Context merge_ctx_;
   // Evaluation workspace of the global model; its context is merge_ctx_.

@@ -337,7 +337,7 @@ void restore_checkpoint(core::AdaptiveSgdTrainer& trainer,
     for (std::size_t g = 0; g < runtime.num_gpus(); ++g) {
       runtime.optimizer(g).reset_state();
     }
-    runtime.global_optimizer().reset_state();
+    runtime.reset_global_optimizer_state();
   }
 
   // At a merge boundary every alive replica holds the freshly broadcast

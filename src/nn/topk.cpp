@@ -34,13 +34,18 @@ void select_topk(std::span<const float> scores, std::size_t k,
     insert_bounded(out, k, {static_cast<std::uint32_t>(c), scores[c]});
   }
   if (c == scores.size()) return;
-  // `out` is full. Labels arrive in ascending order, so a score that is not
-  // above the k-th ranks after it (NaN included): one compare against a
-  // local copy of the k-th score, the test insert_bounded would make.
+  // `out` is full. Labels arrive in ascending order, so a candidate ranks
+  // before exactly the kept entries with a lower score (it never ties one
+  // with a lower id): a score that is not above the k-th ranks after it
+  // (NaN included), and an accepted one drops the k-th and shifts the
+  // lower-scored entries back one place, from the end.
   float kth = out.back().score;
   for (; c < scores.size(); ++c) {
-    if (!(scores[c] > kth)) continue;
-    insert_bounded(out, k, {static_cast<std::uint32_t>(c), scores[c]});
+    const float score = scores[c];
+    if (!(score > kth)) continue;
+    std::size_t i = k - 1;
+    for (; i > 0 && out[i - 1].score < score; --i) out[i] = out[i - 1];
+    out[i] = {static_cast<std::uint32_t>(c), score};
     kth = out.back().score;
   }
 }

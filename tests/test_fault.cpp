@@ -27,6 +27,7 @@
 #include "fault/fault_plan.h"
 #include "nn/model.h"
 #include "nn/serialize.h"
+#include "pinned_run.h"
 #include "sim/profiles.h"
 #include "sim/trace.h"
 #include "util/error.h"
@@ -326,6 +327,68 @@ TEST_F(FaultTest, CrashRunMatchesSurvivorOnlyRun) {
     EXPECT_EQ(a.prev_global_model().to_flat(),
               b.prev_global_model().to_flat())
         << "sparse=" << sparse;
+  }
+}
+
+// Replica 1 steps in mega-batch 3 and then crashes inside it, after two
+// merges. A dead replica keeps what the last merge handed it plus its own
+// steps since, so the merge after the crash must not move it: its bits are
+// pinned, and reading every replica before the crash must not change them.
+TEST_F(FaultTest, CrashedSparseReplicaKeepsItsState) {
+  constexpr std::uint64_t kReplica1 = 0xb6cc17812fa23df3ull;
+  constexpr std::uint64_t kGlobal = 0x01b4a262a500adceull;
+  auto cfg = config();
+  cfg.sparse_merge = true;
+  for (const auto mode :
+       {core::ExecutionMode::kDeterministic, core::ExecutionMode::kThreaded}) {
+    cfg.mode = mode;
+    for (const bool read_replicas : {false, true}) {
+      core::MultiGpuRuntime rt(dataset_, cfg, sim::v100_heterogeneous(4));
+      const std::vector<double> healthy_w{0.3, 0.2, 0.25, 0.35};
+      const std::vector<double> survivor_w{0.35, 0.25, 0.4};
+      const std::vector<std::size_t> survivors{0, 2, 3};
+      const auto read_all = [&] {
+        rt.math_barrier();
+        for (std::size_t g = 0; g < rt.num_gpus(); ++g) {
+          rt.replica(g).to_flat();
+        }
+      };
+      for (std::size_t mb = 0; mb < 3; ++mb) {
+        for (std::size_t g = 0; g < rt.num_gpus(); ++g) {
+          for (int s = 0; s < 2; ++s) {
+            rt.run_update_step(g, rt.next_batch(24), 0.2, rt.gpu_free_at(g));
+          }
+        }
+        if (mb == 2) {
+          rt.schedule_crash(1, rt.gpu(1).device_free_at());
+          EXPECT_THROW(rt.run_update_step(1, rt.next_batch(24), 0.2,
+                                          rt.gpu_free_at(1)),
+                       sim::DeviceUnavailable);
+          if (read_replicas) read_all();
+        }
+        double all_free = 0.0;
+        for (std::size_t g = 0; g < rt.num_gpus(); ++g) {
+          all_free = std::max(all_free, rt.gpu(g).device_free_at());
+        }
+        rt.math_barrier();
+        rt.apply_crashes_until(all_free);
+        rt.merge_and_update(
+            mb < 2 ? healthy_w
+                   : core::expand_alive_weights(survivor_w, survivors, 4),
+            all_free);
+        if (read_replicas && mb < 2) read_all();
+      }
+      ASSERT_FALSE(rt.replica_alive(1));
+      const auto replica1 = core::fnv1a(rt.replica(1).to_flat());
+      const auto global = core::fnv1a(rt.global_model().to_flat());
+      const bool threaded = mode == core::ExecutionMode::kThreaded;
+      EXPECT_EQ(replica1, kReplica1)
+          << "threaded " << threaded << " read " << read_replicas << std::hex
+          << " got 0x" << replica1;
+      EXPECT_EQ(global, kGlobal)
+          << "threaded " << threaded << " read " << read_replicas << std::hex
+          << " got 0x" << global;
+    }
   }
 }
 

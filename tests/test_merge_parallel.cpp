@@ -18,6 +18,7 @@
 #include "core/merging.h"
 #include "core/runtime.h"
 #include "data/synthetic.h"
+#include "pinned_run.h"
 #include "sim/profiles.h"
 #include "sparse/sparse_gradient.h"
 #include "util/rng.h"
@@ -264,6 +265,37 @@ class DeltaMergeRuntimeTest : public ::testing::Test {
     return globals;
   }
 
+  // Eight merges in which replicas sit out whole mega-batches (replica g
+  // steps in mega-batch m only when bit g of kActive[m] is set), so a W1
+  // row a replica last touched several merges ago is read again long after
+  // global moved on. Replicas are read only when `read_replicas` is set.
+  std::vector<std::vector<float>> run_stale_schedule(core::MultiGpuRuntime& rt,
+                                                     bool read_replicas) {
+    static constexpr unsigned kActive[] = {0xF, 0xD, 0x9, 0x6,
+                                           0x3, 0xD, 0xC, 0xF};
+    const std::vector<double> weights = {0.4, 0.3, 0.25, 0.15};
+    std::vector<std::vector<float>> globals;
+    for (const unsigned active : kActive) {
+      double sync = 0.0;
+      for (std::size_t g = 0; g < rt.num_gpus(); ++g) {
+        double t = rt.gpu_free_at(g);
+        if ((active >> g) & 1u) {
+          for (std::size_t s = 0; s < 2 + g; ++s) {
+            t = rt.run_update_step(g, rt.next_batch(16 + 4 * g), 0.1, t);
+          }
+        }
+        sync = std::max(sync, t);
+      }
+      rt.merge_and_update(weights, sync);
+      globals.push_back(rt.global_model().to_flat());
+      if (!read_replicas) continue;
+      for (std::size_t g = 0; g < rt.num_gpus(); ++g) {
+        EXPECT_EQ(rt.replica(g).to_flat(), globals.back());
+      }
+    }
+    return globals;
+  }
+
   data::XmlDataset dataset_;
 };
 
@@ -289,6 +321,36 @@ TEST_F(DeltaMergeRuntimeTest, DeltaBitIdenticalToDenseOracle) {
         for (const auto& t : timings) {
           EXPECT_GT(t.touched_rows, 0u);
           EXPECT_LT(t.touched_rows, delta.model_info().num_features);
+        }
+      }
+    }
+  }
+}
+
+// Nothing reads a replica between merges, so a row stays stale across as
+// many epochs as its replica leaves it untouched; every merge must still
+// equal the dense oracle, and a replica read afterwards must hold global.
+TEST_F(DeltaMergeRuntimeTest, StaleRowsAcrossEpochsMatchDenseOracle) {
+  for (const bool momentum : {true, false}) {
+    for (const bool threaded : {false, true}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        core::MultiGpuRuntime dense(
+            dataset_, config(false, momentum, threads, threaded),
+            sim::v100_heterogeneous(4));
+        core::MultiGpuRuntime delta(
+            dataset_, config(true, momentum, threads, threaded),
+            sim::v100_heterogeneous(4));
+        const auto dense_globals = run_stale_schedule(dense, false);
+        const auto delta_globals = run_stale_schedule(delta, false);
+        ASSERT_EQ(dense_globals.size(), delta_globals.size());
+        for (std::size_t m = 0; m < dense_globals.size(); ++m) {
+          ASSERT_EQ(delta_globals[m], dense_globals[m])
+              << "merge " << m << " momentum=" << momentum
+              << " threaded=" << threaded << " threads=" << threads;
+        }
+        for (std::size_t g = 0; g < delta.num_gpus(); ++g) {
+          EXPECT_EQ(delta.replica(g).to_flat(), delta_globals.back())
+              << "replica " << g;
         }
       }
     }
@@ -466,6 +528,47 @@ TEST_F(QuantizedMergeRuntimeTest, LossScaleGrowthOnlyAffectsNextMerge) {
   // schedule are clean, so the unprimed guard never moves).
   EXPECT_EQ(plain.loss_scale_guard().scale, scale0);
   EXPECT_EQ(primed.loss_scale_guard().scale, 2.0f * scale0);
+}
+
+// Error feedback has no dense oracle, so the stale-row schedule's merged
+// globals are pinned (FNV-1a of each flat); reading every replica after each
+// merge must not change them.
+TEST_F(QuantizedMergeRuntimeTest, StaleRowsPinnedAtParent) {
+  struct Case {
+    comm::MergePrecision precision;
+    std::uint64_t fnv[8];
+  };
+  const Case cases[] = {
+      {comm::MergePrecision::kFp16,
+       {0x401d74cf981bfd7eull, 0x5f67d3e85c1d778cull, 0xb561cc1db5b89061ull,
+        0xc85e901035184acaull, 0xc0d2d6dddc773b12ull, 0xca05a15caaf9515full,
+        0xa51993350fc7f6ccull, 0xa17d1f0efa324636ull}},
+      {comm::MergePrecision::kInt8,
+       {0xdd5b40be658303a3ull, 0x1ef09be16b081996ull, 0x25d9a68248abb57bull,
+        0x71187b7d9cc2db54ull, 0x26cc5da699efc2feull, 0x3d156cb847f1fd1cull,
+        0x8ac308eaf820493eull, 0x2c8c623e90dd1e7eull}},
+  };
+  for (const auto& c : cases) {
+    for (const bool threaded : {false, true}) {
+      const std::size_t threads = threaded ? 4 : 1;
+      core::MultiGpuRuntime rt(
+          dataset_, qconfig(c.precision, true, threads, threaded),
+          sim::v100_heterogeneous(4));
+      const auto globals = run_stale_schedule(rt, false);
+      ASSERT_EQ(globals.size(), std::size(c.fnv));
+      for (std::size_t m = 0; m < globals.size(); ++m) {
+        EXPECT_EQ(core::fnv1a(globals[m]), c.fnv[m])
+            << comm::precision_name(c.precision) << " threaded=" << threaded
+            << " merge " << m << std::hex << " got 0x"
+            << core::fnv1a(globals[m]);
+      }
+      core::MultiGpuRuntime read(
+          dataset_, qconfig(c.precision, true, threads, threaded),
+          sim::v100_heterogeneous(4));
+      EXPECT_EQ(run_stale_schedule(read, true), globals)
+          << comm::precision_name(c.precision) << " threaded=" << threaded;
+    }
+  }
 }
 
 TEST_F(QuantizedMergeRuntimeTest, ResidualStateResetOnCrashAndJoin) {

@@ -8,7 +8,9 @@
 #include <span>
 #include <vector>
 
+#include "util/kernel_context.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace hetero::core {
 namespace {
@@ -425,6 +427,67 @@ TEST(CertifiedGate, NeverContradictsTheExactTest) {
     }
   }
   EXPECT_GT(decided, 0u);
+}
+
+// The runtime sums G and D in fixed chunks on the kernel pool: the same G
+// bits and the same answers at every thread count, and with the exact
+// fallback the same decision as the exact test, including at a threshold
+// inside the slack band that leaves the decision to the fallback.
+TEST(CertifiedGate, PooledSumsDecideAsTheExactTest) {
+  constexpr std::size_t kRows = 96;
+  constexpr std::size_t kCols = 8;
+  util::Rng rng(8);
+  std::vector<float> w1(kRows * kCols);
+  std::vector<float> tail(40);
+  for (auto& v : w1) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (auto& v : tail) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  auto replica_w1 = w1;
+  std::vector<std::uint32_t> touched;
+  for (std::uint32_t r = 0; r < kRows; r += 3) {
+    touched.push_back(r);
+    for (std::size_t c = 0; c < kCols; ++c) {
+      replica_w1[r * kCols + c] += static_cast<float>(rng.uniform(-0.2, 0.2));
+    }
+  }
+  const std::vector<std::span<const float>> global{w1, tail};
+  const std::vector<std::span<const float>> replica{replica_w1, tail};
+  double ss = 0.0;
+  for (const float v : replica_w1) ss += static_cast<double>(v) * v;
+  for (const float v : tail) ss += static_cast<double>(v) * v;
+  const double exact =
+      std::sqrt(ss) / static_cast<double>(replica_w1.size() + tail.size());
+
+  const double g1 = l2_per_parameter(global, {});
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    util::ThreadPool pool(threads);
+    kernels::Context ctx{&pool, threads};
+    ctx.serial_grain = 1;  // every sum on the pool
+    const double g = l2_per_parameter(global, ctx);
+    EXPECT_EQ(g, g1) << "threads " << threads;
+    for (const double f : {0.5, 1.0 - 1e-5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6,
+                           1.0 + 1e-5, 2.0}) {
+      const double thr = exact * f;
+      const auto answer =
+          certify_l2_below(replica, global, touched, kCols, g, thr, ctx);
+      EXPECT_EQ(answer, certify_l2_below(replica, global, touched, kCols, g1,
+                                         thr))
+          << "threads " << threads << " threshold factor " << f;
+      const bool below = answer == L2Gate::kUndecided
+                             ? exact < thr
+                             : answer == L2Gate::kBelow;
+      EXPECT_EQ(below, exact < thr)
+          << "threads " << threads << " threshold factor " << f;
+    }
+    EXPECT_EQ(certify_l2_below(replica, global, touched, kCols, g, exact, ctx),
+              L2Gate::kUndecided)
+        << "threads " << threads;
+    EXPECT_EQ(certify_l2_below(replica, global, touched, kCols, g,
+                               2.0 * exact, ctx),
+              L2Gate::kBelow);
+    EXPECT_EQ(certify_l2_below(replica, global, touched, kCols, g,
+                               0.5 * exact, ctx),
+              L2Gate::kNotBelow);
+  }
 }
 
 }  // namespace
