@@ -20,7 +20,8 @@
 //
 // BM_ReplicaRefresh compares the two hand-backs at train-wide-delta's
 // shape: the eager broadcast against the tail copy plus first-touch pulls,
-// and BM_PerturbationGate times Algorithm 2's L2 gate.
+// and BM_PerturbationGate times Algorithm 2's L2 gate. BM_CheckpointSave
+// and BM_CheckpointRestore time the checkpoint taken at that boundary.
 //
 // The headline shape is the ISSUE acceptance point: 2M features (0.005%
 // density => ~100 nnz/sample => ~23% of rows touched per replica per
@@ -31,8 +32,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <istream>
+#include <memory>
 #include <numeric>
+#include <ostream>
 #include <span>
+#include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <utility>
@@ -44,6 +50,7 @@
 #include "core/adaptive_sgd.h"
 #include "core/merging.h"
 #include "data/synthetic.h"
+#include "fault/checkpoint.h"
 #include "nn/model.h"
 #include "sim/profiles.h"
 #include "sparse/sparse_gradient.h"
@@ -723,6 +730,138 @@ BENCHMARK(BM_PerturbationGate)
     ->Args({17, 4, 0, 26, 1})
     ->Args({17, 4, 1, 26, 1})
     ->Args({17, 4, 1, 26, 4})
+    ->Unit(benchmark::kMillisecond);
+
+// --- checkpoints at a merge boundary ---------------------------------------
+
+// Counts what is written and keeps none of it: the checkpoint sink of the
+// save row (a disk would time the disk, not the serialization).
+class CountingBuf : public std::streambuf {
+ public:
+  std::uint64_t bytes() const { return bytes_; }
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += static_cast<std::uint64_t>(n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) ++bytes_;
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::uint64_t bytes_ = 0;
+};
+
+// Reads a string in place: the in-memory stream of the restore row, which
+// can seek (a restore checks each length against the bytes left).
+class StringReadBuf : public std::streambuf {
+ public:
+  explicit StringReadBuf(const std::string& s) {
+    char* p = const_cast<char*>(s.data());
+    setg(p, p, p + s.size());
+  }
+
+ protected:
+  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                   std::ios_base::openmode) override {
+    char* base = dir == std::ios_base::beg   ? eback()
+                 : dir == std::ios_base::cur ? gptr()
+                                             : egptr();
+    if (off < eback() - base || off > egptr() - base) {
+      return pos_type(off_type(-1));
+    }
+    setg(eback(), base + off, egptr());
+    return pos_type(gptr() - eback());
+  }
+  pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
+    return seekoff(off_type(pos), std::ios_base::beg, which);
+  }
+};
+
+// train-wide-delta's shape (2^18 features x 64 hidden x 2048 classes, 4
+// replicas): sgd at fp32 (args 0), whose payload is the two model records,
+// or int8 merges with Adam (args 1), which adds four residuals and eight
+// moment matrices. The trainer is fresh: its payload has the size of a
+// trained one's.
+std::unique_ptr<core::AdaptiveSgdTrainer> checkpoint_trainer(bool int8_adam) {
+  static const data::XmlDataset dataset = [] {
+    data::SyntheticXmlConfig c;
+    c.name = "checkpoint-bench";
+    c.num_features = std::size_t{1} << 18;
+    c.num_classes = 2048;
+    c.num_train = 256;
+    c.num_test = 64;
+    return data::generate_xml_dataset(c);
+  }();
+  core::TrainerConfig cfg;
+  cfg.hidden = kHidden;
+  cfg.batch_max = 64;
+  cfg.eval_samples = 64;
+  if (int8_adam) {
+    cfg.merge_precision = comm::MergePrecision::kInt8;
+    cfg.optimizer.kind = nn::OptimizerKind::kAdam;
+  }
+  return std::make_unique<core::AdaptiveSgdTrainer>(
+      dataset, cfg, sim::v100_heterogeneous(4));
+}
+
+// Capture plus save into a byte-counting sink, as e2ebench's train-wide-delta
+// writes its checkpoints. args: {0 = sgd fp32, 1 = int8 + adam}
+void BM_CheckpointSave(benchmark::State& state) {
+  const auto trainer = checkpoint_trainer(state.range(0) != 0);
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    CountingBuf sink;
+    std::ostream out(&sink);
+    fault::save_checkpoint(out, fault::capture_checkpoint(*trainer));
+    bytes = sink.bytes();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.counters["checkpoint_bytes"] = static_cast<double>(bytes);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointSave)
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(4)
+    ->Unit(benchmark::kMillisecond);
+
+// Restore from an in-memory stream into a freshly built trainer (built
+// outside the timed region). args: {0 = sgd fp32, 1 = int8 + adam}
+void BM_CheckpointRestore(benchmark::State& state) {
+  const bool int8_adam = state.range(0) != 0;
+  std::string bytes;
+  {
+    const auto source = checkpoint_trainer(int8_adam);
+    std::ostringstream out(std::ios::binary);
+    fault::save_checkpoint(out, fault::capture_checkpoint(*source));
+    bytes = std::move(out).str();
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto trainer = checkpoint_trainer(int8_adam);
+    state.ResumeTiming();
+    StringReadBuf buf(bytes);
+    std::istream in(&buf);
+    fault::restore_checkpoint(*trainer, in);
+    benchmark::DoNotOptimize(
+        trainer->runtime().global_model().weights(0).data());
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    trainer.reset();
+    state.ResumeTiming();
+  }
+  state.counters["checkpoint_bytes"] = static_cast<double>(bytes.size());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_CheckpointRestore)
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(3)
     ->Unit(benchmark::kMillisecond);
 
 // Tiny smoke shape for the bench-smoke ctest label (exercises all merge

@@ -336,8 +336,8 @@ int run(int argc, char** argv) {
     double resumed_vtime = -1.0;
     if (!resume_from.empty()) {
       try {
-        const auto ckpt = fault::load_checkpoint_file(resume_from);
-        fault::restore_checkpoint(*adaptive, ckpt);
+        const auto ckpt =
+            fault::restore_checkpoint_file(*adaptive, resume_from);
         resumed_vtime = ckpt.vtime;
         std::printf("resumed from %s: %zu mega-batches, vtime %.4fs\n",
                     resume_from.c_str(),

@@ -35,6 +35,7 @@ class AdaptiveSgdTrainer final : public Trainer {
                      Method method = Method::kAdaptive);
 
   std::string method_name() const override { return to_string(method_); }
+  Method method() const { return method_; }
 
   /// Current per-GPU SGD state (exposed for tests / Fig. 6a traces).
   const std::vector<GpuSgdState>& sgd_state() const { return sgd_; }

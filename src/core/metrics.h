@@ -44,6 +44,16 @@ struct FaultStats {
   }
 };
 
+/// The merge counters and communication time train() sums over a run. A
+/// checkpoint carries them, so a resumed run reports the totals of the
+/// whole run rather than of the part after the resume.
+struct RunTotals {
+  std::size_t merges = 0;
+  std::size_t perturbed_merges = 0;
+  std::size_t scaling_updates = 0;
+  double comm_seconds = 0.0;
+};
+
 /// Per-GPU execution trace.
 struct GpuTrace {
   std::vector<std::size_t> batch_size;   // per mega-batch (Fig. 6a)

@@ -115,6 +115,13 @@ class MultiGpuRuntime {
   /// the replica's pending updates are dropped.
   void schedule_crash(std::size_t g, double time);
 
+  /// Records the time of a crash that a restored checkpoint already
+  /// reflects (the replica is restored dead), so a later join counts the
+  /// whole outage in FaultStats::recovery_seconds.
+  void restore_crash_time(std::size_t g, double time) {
+    crash_time_[g] = time;
+  }
+
   /// Schedules replica g to re-enter the group at `time`: applied at the
   /// first merge boundary at or after `time`, seeding the replica from the
   /// merged global model with update count 0.

@@ -44,10 +44,12 @@ double Trainer::current_vtime() const {
 }
 
 void Trainer::set_resume_point(std::size_t completed, double best_top1,
-                               std::size_t megabatches_without_improvement) {
+                               std::size_t megabatches_without_improvement,
+                               const RunTotals& totals) {
   start_megabatch_ = completed;
   early_stop_best_ = best_top1;
   early_stop_stagnation_ = megabatches_without_improvement;
+  totals_ = totals;
 }
 
 void Trainer::reject_membership_plans() const {
@@ -76,10 +78,18 @@ TrainResult Trainer::train() {
   if (start_megabatch_ == 0) {
     early_stop_best_ = result.curve.empty() ? 0.0 : result.curve.back().top1;
     early_stop_stagnation_ = 0;
+    totals_ = RunTotals{};
   }
+  // A resumed run continues the sums it was checkpointed with.
+  result.merges = totals_.merges;
+  result.perturbed_merges = totals_.perturbed_merges;
+  result.scaling_updates = totals_.scaling_updates;
+  result.comm_seconds = totals_.comm_seconds;
   for (std::size_t m = start_megabatch_ + 1; m <= cfg_.num_megabatches; ++m) {
     current_megabatch_ = m - 1;
     run_megabatch(result);
+    totals_ = {result.merges, result.perturbed_merges, result.scaling_updates,
+               result.comm_seconds};
     const double t = current_vtime();
     runtime_.record_curve_point(result, t, m, runtime_.take_mean_loss());
     // Early-stop bookkeeping runs before the boundary hook so a checkpoint

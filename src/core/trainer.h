@@ -44,13 +44,19 @@ class Trainer {
   /// Positions the trainer to resume after `completed` mega-batches
   /// (checkpointed recovery): train() records its initial curve point at
   /// the restored clock/index and starts with mega-batch completed+1, with
-  /// the early-stopping state re-seeded from the checkpoint.
+  /// the early-stopping state and the run totals re-seeded from the
+  /// checkpoint.
   void set_resume_point(std::size_t completed, double best_top1,
-                        std::size_t megabatches_without_improvement);
+                        std::size_t megabatches_without_improvement,
+                        const RunTotals& totals);
 
   /// Early-stopping state (captured into checkpoints at boundaries).
   double early_stop_best() const { return early_stop_best_; }
   std::size_t early_stop_stagnation() const { return early_stop_stagnation_; }
+
+  /// The run's totals up to the last completed mega-batch, updated before
+  /// the boundary hook runs (captured into checkpoints at boundaries).
+  const RunTotals& run_totals() const { return totals_; }
 
  protected:
   /// Processes one mega-batch: schedule batches, update replicas, merge.
@@ -84,6 +90,7 @@ class Trainer {
   std::size_t start_megabatch_ = 0;  // completed mega-batches at resume
   double early_stop_best_ = 0.0;
   std::size_t early_stop_stagnation_ = 0;
+  RunTotals totals_;
   BoundaryHook boundary_hook_;
 };
 

@@ -45,7 +45,10 @@ void FaultInjector::arm(core::MultiGpuRuntime& runtime,
         break;
       }
       case FaultKind::kCrash:
-        if (ev.time <= applied_until) break;  // already in restored state
+        if (ev.time <= applied_until) {  // already in restored state
+          runtime.restore_crash_time(ev.device, ev.time);
+          break;
+        }
         runtime.schedule_crash(ev.device, ev.time);
         break;
       case FaultKind::kJoin:

@@ -19,8 +19,10 @@ class FaultInjector {
   /// event. Counters land in runtime.fault_stats(). When re-arming on a
   /// checkpoint-restored runtime, pass the checkpoint's virtual time as
   /// `applied_until`: membership events (crash/join) at or before it are
-  /// already reflected in the restored alive flags and are skipped; window
-  /// faults are always re-armed (they are stateless lookups by start time).
+  /// already reflected in the restored alive flags and are skipped (a
+  /// skipped crash still records its time, which a later join's outage is
+  /// measured from); window faults are always re-armed (they are stateless
+  /// lookups by start time).
   void arm(core::MultiGpuRuntime& runtime, double applied_until = -1.0) const;
 
  private:

@@ -6,7 +6,6 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "util/error.h"
@@ -81,12 +80,77 @@ void check_params_present(std::istream& in, unsigned __int128 num_params) {
   }
 }
 
+// The shape a header declares and the header's own size in bytes.
+struct Header {
+  ModelInfo shape;
+  std::size_t bytes = 0;
+};
+
+// Parses and validates magic, version and shape, leaving `in` at the
+// parameters, which the caller reads. Shared by load_any_model and
+// load_model_into.
+Header read_header(std::istream& in) {
+  char magic[4];
+  in.read(magic, sizeof(magic));
+  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    bad_blob(in, "bad magic");
+  }
+  const auto version = read_pod<std::uint32_t>(in);
+  Header h;
+  auto& shape = h.shape;
+  if (version == kVersionOneHidden) {
+    const auto num_features = read_pod<std::uint64_t>(in);
+    const auto hidden = read_pod<std::uint64_t>(in);
+    const auto num_classes = read_pod<std::uint64_t>(in);
+    if (num_features == 0 || hidden == 0 || num_classes == 0) {
+      bad_blob(in, "zero model dimension");
+    }
+    shape.num_features = static_cast<std::size_t>(num_features);
+    shape.hidden = {static_cast<std::size_t>(hidden)};
+    shape.num_classes = static_cast<std::size_t>(num_classes);
+    h.bytes = sizeof(kMagic) + sizeof(std::uint32_t) + 3 * 8;
+  } else if (version == kVersionLayerList) {
+    const auto num_hidden = read_pod<std::uint64_t>(in);
+    if (num_hidden == 0 || num_hidden > kMaxHiddenLayers) {
+      bad_blob(in, "bad hidden-layer count " + std::to_string(num_hidden));
+    }
+    shape.num_features =
+        static_cast<std::size_t>(read_pod<std::uint64_t>(in));
+    for (std::uint64_t l = 0; l < num_hidden; ++l) {
+      const auto width = read_pod<std::uint64_t>(in);
+      if (width == 0) {
+        bad_blob(in, "zero-width hidden layer");
+      }
+      shape.hidden.push_back(static_cast<std::size_t>(width));
+    }
+    shape.num_classes = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
+    if (shape.num_features == 0 || shape.num_classes == 0) {
+      bad_blob(in, "zero model dimension");
+    }
+    h.bytes = sizeof(kMagic) + sizeof(std::uint32_t) +
+              (3 + static_cast<std::size_t>(num_hidden)) * 8;
+  } else {
+    bad_blob(in, "unsupported version " + std::to_string(version));
+  }
+  // W_l + b_l per layer, in 128-bit so hostile dimensions cannot wrap.
+  unsigned __int128 params = 0;
+  unsigned __int128 prev = shape.num_features;
+  for (const std::size_t width : shape.hidden) {
+    params += prev * width + width;
+    prev = width;
+  }
+  params += prev * shape.num_classes + shape.num_classes;
+  check_params_present(in, params);
+  return h;
+}
+
+// Reads the float32 parameters straight into the model's segments.
 void read_params(std::istream& in, Model& model) {
-  std::vector<float> flat(model.num_parameters());
-  in.read(reinterpret_cast<char*>(flat.data()),
-          static_cast<std::streamsize>(flat.size() * sizeof(float)));
-  if (!in) bad_blob(in, "truncated parameters");
-  model.from_flat(flat);
+  for (const auto seg : model.segment_views()) {
+    in.read(reinterpret_cast<char*>(seg.data()),
+            static_cast<std::streamsize>(seg.size_bytes()));
+    if (!in) bad_blob(in, "truncated parameters");
+  }
 }
 }  // namespace
 
@@ -98,6 +162,16 @@ void save_model(std::ostream& out, const Model& model) {
               static_cast<std::streamsize>(seg.size_bytes()));
   }
   if (!out) throw std::runtime_error("model checkpoint: write failed");
+}
+
+std::size_t serialized_size(const Model& model) {
+  return header_bytes(model.info()).size() + model.num_bytes();
+}
+
+std::string shape_string(const ModelInfo& info) {
+  std::string s = std::to_string(info.num_features);
+  for (const std::size_t h : info.hidden) s += "x" + std::to_string(h);
+  return s + "x" + std::to_string(info.num_classes);
 }
 
 std::string model_blob(const Model& model) {
@@ -116,63 +190,23 @@ void save_model_file(const std::string& path, const Model& model) {
 }
 
 Model load_any_model(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    bad_blob(in, "bad magic");
+  const Header h = read_header(in);
+  Model model(h.shape.num_features, h.shape.hidden, h.shape.num_classes);
+  read_params(in, model);
+  return model;
+}
+
+std::size_t load_model_into(std::istream& in, Model& model) {
+  const Header h = read_header(in);
+  const auto& want = model.info();
+  if (h.shape.num_features != want.num_features ||
+      h.shape.hidden != want.hidden ||
+      h.shape.num_classes != want.num_classes) {
+    throw MismatchError("model shape " + shape_string(h.shape) +
+                        " does not match " + shape_string(want));
   }
-  const auto version = read_pod<std::uint32_t>(in);
-  if (version == kVersionOneHidden) {
-    const auto num_features = read_pod<std::uint64_t>(in);
-    const auto hidden = read_pod<std::uint64_t>(in);
-    const auto num_classes = read_pod<std::uint64_t>(in);
-    if (num_features == 0 || hidden == 0 || num_classes == 0) {
-      bad_blob(in, "zero model dimension");
-    }
-    // W1 + b1 + W2 + b2, in 128-bit so hostile dimensions cannot wrap.
-    const auto params =
-        static_cast<unsigned __int128>(num_features) * hidden + hidden +
-        static_cast<unsigned __int128>(hidden) * num_classes + num_classes;
-    check_params_present(in, params);
-    Model model(static_cast<std::size_t>(num_features),
-                {static_cast<std::size_t>(hidden)},
-                static_cast<std::size_t>(num_classes));
-    read_params(in, model);
-    return model;
-  }
-  if (version == kVersionLayerList) {
-    const auto num_hidden = read_pod<std::uint64_t>(in);
-    if (num_hidden == 0 || num_hidden > kMaxHiddenLayers) {
-      bad_blob(in, "bad hidden-layer count " + std::to_string(num_hidden));
-    }
-    const auto num_features =
-        static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-    std::vector<std::size_t> hidden;
-    for (std::uint64_t l = 0; l < num_hidden; ++l) {
-      const auto width = read_pod<std::uint64_t>(in);
-      if (width == 0) {
-        bad_blob(in, "zero-width hidden layer");
-      }
-      hidden.push_back(static_cast<std::size_t>(width));
-    }
-    const auto num_classes =
-        static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-    if (num_features == 0 || num_classes == 0) {
-      bad_blob(in, "zero model dimension");
-    }
-    unsigned __int128 params = 0;
-    std::uint64_t prev = static_cast<std::uint64_t>(num_features);
-    for (const std::size_t h : hidden) {
-      params += static_cast<unsigned __int128>(prev) * h + h;
-      prev = h;
-    }
-    params += static_cast<unsigned __int128>(prev) * num_classes + num_classes;
-    check_params_present(in, params);
-    Model model(num_features, std::move(hidden), num_classes);
-    read_params(in, model);
-    return model;
-  }
-  bad_blob(in, "unsupported version " + std::to_string(version));
+  read_params(in, model);
+  return h.bytes + model.num_bytes();
 }
 
 Model load_any_model_file(const std::string& path) {

@@ -16,6 +16,7 @@
 // host order (the format is a local checkpoint, not a wire protocol).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -29,8 +30,12 @@ namespace hetero::nn {
 void save_model(std::ostream& out, const Model& model);
 void save_model_file(const std::string& path, const Model& model);
 
+/// Number of bytes save_model writes for `model`: its header plus four
+/// bytes per parameter.
+std::size_t serialized_size(const Model& model);
+
 /// The bytes save_model writes, as one string built with a single copy of
-/// the parameters: the in-memory blob of checkpoints and serving snapshots.
+/// the parameters: the in-memory blob of serving snapshots.
 std::string model_blob(const Model& model);
 
 /// Reads a checkpoint of any supported version into a Model; throws
@@ -39,5 +44,14 @@ std::string model_blob(const Model& model);
 /// the remaining stream size (checked before any allocation).
 Model load_any_model(std::istream& in);
 Model load_any_model_file(const std::string& path);
+
+/// Reads a model of any supported version straight into `model`'s
+/// parameters and returns the bytes consumed. The header is parsed and
+/// validated as load_any_model does; a shape other than `model`'s throws
+/// hetero::MismatchError naming both shapes before any parameter is read.
+std::size_t load_model_into(std::istream& in, Model& model);
+
+/// "features x hidden... x classes", e.g. "64x8x4x16".
+std::string shape_string(const ModelInfo& info);
 
 }  // namespace hetero::nn

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <vector>
-#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "fault/checkpoint.h"
 #include "nn/serialize.h"
@@ -198,10 +197,10 @@ std::shared_ptr<const ModelSnapshot> SnapshotStore::publish_from_file(
     return publish(nn::load_any_model(in), 0.0);
   }
   if (tag == "HGCK") {
-    in.close();
-    const fault::TrainingCheckpoint ckpt = fault::load_checkpoint_file(path);
-    std::istringstream blob(ckpt.global_blob, std::ios::binary);
-    return publish(nn::load_any_model(blob), ckpt.vtime);
+    // Skips the replicas' residuals and optimizer state by their lengths;
+    // the stream is left at the global model.
+    const fault::TrainingCheckpoint ckpt = fault::load_checkpoint(in);
+    return publish(nn::load_any_model(in), ckpt.vtime);
   }
   throw ParseError("snapshot",
                    "unrecognized magic in " + path + " (want HGPU or HGCK)");

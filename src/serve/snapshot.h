@@ -80,8 +80,9 @@ class ModelSnapshot {
   const nn::Model& model() const { return model_; }
 
   /// Serialized HGPU bytes of the model, built on each call (publication
-  /// never serializes). Byte-identical to the `global_blob` of a checkpoint
-  /// taken at the same merge boundary, and loadable by nn::load_any_model.
+  /// never serializes). Byte-identical to the global model record of a
+  /// checkpoint taken at the same merge boundary, and loadable by
+  /// nn::load_any_model.
   std::string blob() const;
 
   // --- scoring -------------------------------------------------------------
@@ -181,8 +182,9 @@ class SnapshotStore {
 
   /// Loads a model from `path` and publishes it. Accepts either an HGPU
   /// model blob (e.g. a dump_current() file) or an HGCK training
-  /// checkpoint, sniffed by magic; a checkpoint also restores the virtual
-  /// time. Throws hetero::ParseError on malformed input.
+  /// checkpoint, sniffed by magic; from a checkpoint only the global model
+  /// is read (the replicas' state is skipped), and its virtual time is
+  /// restored. Throws hetero::ParseError on malformed input.
   std::shared_ptr<const ModelSnapshot> publish_from_file(
       const std::string& path);
 

@@ -54,6 +54,15 @@ class ParseError : public std::runtime_error {
   std::size_t offset_;
 };
 
+/// A well-formed input that does not fit what it is loaded into: a
+/// checkpoint written by another configuration or method, a model of
+/// another shape. The bytes are fine (not a ParseError) and the system has
+/// no bug (not any other exception): the caller picked the wrong file.
+class MismatchError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 namespace util {
 
 // Strict numeric parsing shared by the text parsers: the whole token must be

@@ -1,15 +1,16 @@
-// Fuzzes the HGCK checkpoint loader and the embedded model-blob loader
-// (nn::save_model v1/v2). Seeds are real serialized checkpoints/models;
-// the mutator's 8-byte integer smashing reaches the length/count fields,
-// so this is the regression guard for "hostile length must throw
-// hetero::ParseError, not bad_alloc" (restartable training consumes these
-// bytes from disk on every --resume-from).
+// Fuzzes the HGCK checkpoint readers and the embedded model loader
+// (nn::save_model v1/v2). Seeds are real checkpoints of a tiny trainer and
+// real serialized models; the mutator's 8-byte integer smashing reaches the
+// length/count fields, so this is the regression guard for "hostile length
+// must throw hetero::ParseError, not bad_alloc" (restartable training
+// consumes these bytes from disk on every --resume-from, and serving reads
+// them in --snapshot-from-checkpoint).
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
 
-#include "fault/checkpoint.h"
+#include "checkpoint_fuzz.h"
 #include "nn/model.h"
 #include "nn/serialize.h"
 #include "util/error.h"
@@ -19,6 +20,7 @@ namespace hetero::fault {
 namespace {
 
 namespace fuzz = util::fuzz;
+namespace seeds = fuzz_checkpoint;
 
 std::string serialized_model_v1() {
   const nn::Model model(12, {6}, 4);
@@ -34,33 +36,15 @@ std::string serialized_model_v2() {
   return out.str();
 }
 
-std::string serialized_checkpoint() {
-  TrainingCheckpoint ckpt;
-  ckpt.seed = 42;
-  ckpt.megabatches_completed = 3;
-  ckpt.samples_served = 1280;
-  ckpt.round_robin_cursor = 2;
-  ckpt.vtime = 1.75;
-  ckpt.best_top1 = 0.5;
-  ckpt.stagnation = 1;
-  ckpt.gpus.resize(3);
-  for (std::size_t g = 0; g < ckpt.gpus.size(); ++g) {
-    auto& s = ckpt.gpus[g];
-    s.batch_size = 32 << g;
-    s.learning_rate = 0.5 / static_cast<double>(g + 1);
-    s.updates = 10 * g;
-    s.alive = g == 2 ? 0 : 1;
-    s.busy_seconds = 0.25 * static_cast<double>(g);
-    s.rng = util::Rng(g).state();
-  }
-  ckpt.scaling.interval = 2;
-  ckpt.scaling.previous = {32, 64, 128};
-  ckpt.scaling.last_direction = {1, -1, 0};
-  ckpt.global_blob = serialized_model_v1();
-  ckpt.prev_global_blob = serialized_model_v1();
-  std::ostringstream out(std::ios::binary);
-  save_checkpoint(out, ckpt);
-  return out.str();
+// fp32 adaptive, elastic, a crashed replica, and an int8 run's residuals.
+fuzz::Corpus checkpoint_corpus() {
+  const auto sgd = nn::OptimizerKind::kSgd;
+  return fuzz::Corpus({
+      seeds::checkpoint(sgd, false, core::Method::kAdaptive),
+      seeds::checkpoint(sgd, false, core::Method::kElastic),
+      seeds::checkpoint(sgd, false, core::Method::kAdaptive, true),
+      seeds::checkpoint(sgd, true, core::Method::kAdaptive),
+  });
 }
 
 // Binary formats: no text dictionary; the integer-smash and truncate ops do
@@ -68,22 +52,50 @@ std::string serialized_checkpoint() {
 const fuzz::Mutator kBinaryMutator{};
 
 TEST(FuzzCheckpoint, LoaderNeverCrashesOrOverAllocates) {
-  fuzz::Corpus corpus({serialized_checkpoint()});
+  auto corpus = checkpoint_corpus();
   auto opts = fuzz::Options::from_env({});
   const auto stats =
       fuzz::run(opts, corpus, kBinaryMutator, [](const std::string& input) {
+        // The serving path: the small state, then the global model read
+        // straight from where load_checkpoint leaves the stream.
         std::istringstream in(input, std::ios::binary);
         const auto ckpt = load_checkpoint(in);
         // Accepted checkpoints must be bounded by their own bytes: the
         // loader validated every length field against the stream size.
-        if (ckpt.global_blob.size() > input.size() ||
-            ckpt.prev_global_blob.size() > input.size() ||
-            ckpt.gpus.size() > input.size()) {
+        if (ckpt.gpus.size() > input.size() ||
+            ckpt.scaling.previous.size() > input.size() ||
+            ckpt.opt_steps.size() > input.size()) {
           throw std::logic_error("checkpoint fields exceed input size");
+        }
+        const auto model = nn::load_any_model(in);
+        if (model.num_parameters() * sizeof(float) > input.size()) {
+          throw std::logic_error("model larger than its checkpoint");
         }
       });
   EXPECT_GE(stats.iterations, 10000u);
   EXPECT_GT(stats.accepted, 0u);
+  EXPECT_GT(stats.rejected, 0u);
+}
+
+TEST(FuzzCheckpoint, RestoreIntoFreshTrainerSucceedsOrThrowsTyped) {
+  auto corpus = checkpoint_corpus();
+  auto opts = fuzz::Options::from_env({});
+  opts.seed = 0x5E5708Eull;
+  std::size_t restored = 0;
+  const auto stats = fuzz::run(
+      opts, corpus, kBinaryMutator, [&](const std::string& input) {
+        const auto trainer = seeds::restore(input);
+        if (trainer == nullptr) return;  // typed MismatchError
+        ++restored;
+        // The sample stream replays at most the trainer's own run.
+        const auto& cfg = trainer->config();
+        if (trainer->runtime().samples_served() >
+            cfg.num_megabatches * cfg.megabatch_samples()) {
+          throw std::logic_error("restored past the end of the run");
+        }
+      });
+  EXPECT_GE(stats.iterations, 10000u);
+  EXPECT_GT(restored, 0u);
   EXPECT_GT(stats.rejected, 0u);
 }
 
@@ -99,6 +111,19 @@ TEST(FuzzCheckpoint, ModelBlobLoaderNeverCrashesOrOverAllocates) {
         // present, so the parameter count is bounded by the input size.
         if (model.num_parameters() * sizeof(float) > input.size()) {
           throw std::logic_error("model larger than its serialized form");
+        }
+        // Loading into a model of the same shape reads the same bytes; into
+        // another shape it is a typed MismatchError.
+        for (nn::Model target : {nn::Model(12, {6}, 4),
+                                 nn::Model(10, {8, 5}, 3)}) {
+          std::istringstream again(input, std::ios::binary);
+          try {
+            if (nn::load_model_into(again, target) !=
+                static_cast<std::size_t>(again.tellg())) {
+              throw std::logic_error("load_model_into miscounted its bytes");
+            }
+          } catch (const MismatchError&) {
+          }
         }
       });
   EXPECT_GE(stats.iterations, 10000u);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -36,6 +37,47 @@
 namespace hetero {
 namespace {
 
+// save_checkpoint's bytes at the trainer's current boundary.
+std::string checkpoint_bytes(core::AdaptiveSgdTrainer& trainer) {
+  std::ostringstream out(std::ios::binary);
+  fault::save_checkpoint(out, fault::capture_checkpoint(trainer));
+  return out.str();
+}
+
+fault::TrainingCheckpoint load_from_bytes(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  return fault::load_checkpoint(in);
+}
+
+fault::TrainingCheckpoint restore_from_bytes(core::AdaptiveSgdTrainer& trainer,
+                                             const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  return fault::restore_checkpoint(trainer, in);
+}
+
+// One model record of the trainer's checkpoints: the u64 byte count, then
+// the nn::save_model bytes. The global and momentum records are the last
+// two records of every checkpoint version.
+std::size_t model_record_bytes(core::AdaptiveSgdTrainer& trainer) {
+  return 8 + nn::serialized_size(trainer.runtime().global_model());
+}
+
+// The v4 run section: the method byte, then seven u64 counters and two f64
+// times.
+constexpr std::size_t kRunSection = 1 + 9 * 8;
+
+// A v4 checkpoint as a v3 writer lays it out: the run section, right
+// before the two model records, cut out and the version word set to 3.
+std::string without_run_section(std::string bytes, std::size_t record) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  EXPECT_EQ(version, 4u);
+  const std::uint32_t v3 = 3;
+  std::memcpy(bytes.data() + 4, &v3, sizeof(v3));
+  bytes.erase(bytes.size() - 2 * record - kRunSection, kRunSection);
+  return bytes;
+}
+
 class FaultTest : public ::testing::Test {
  protected:
   FaultTest() : dataset_(data::generate_xml_dataset(data::tiny_profile())) {}
@@ -53,6 +95,31 @@ class FaultTest : public ::testing::Test {
 
   static std::string temp_path(const std::string& name) {
     return ::testing::TempDir() + name;
+  }
+
+  // A fresh 2-GPU trainer for tiny_checkpoint_bytes() to restore into.
+  std::unique_ptr<core::AdaptiveSgdTrainer> tiny_trainer() const {
+    auto cfg = config();
+    cfg.num_megabatches = 2;
+    return std::make_unique<core::AdaptiveSgdTrainer>(
+        dataset_, cfg, sim::v100_heterogeneous(2));
+  }
+
+  // A real checkpoint small enough to corrupt surgically: tiny_trainer()'s
+  // run after its 2 mega-batches.
+  std::string tiny_checkpoint_bytes() const {
+    const auto trainer = tiny_trainer();
+    trainer->train();
+    return checkpoint_bytes(*trainer);
+  }
+
+  // Both readers reject `bytes` as malformed: load_checkpoint, and a
+  // restore into a fresh tiny_trainer().
+  void expect_corrupt(const std::string& bytes, const std::string& what) {
+    EXPECT_THROW(load_from_bytes(bytes), hetero::ParseError) << what;
+    EXPECT_THROW(restore_from_bytes(*tiny_trainer(), bytes),
+                 hetero::ParseError)
+        << what;
   }
 
   data::XmlDataset dataset_;
@@ -681,6 +748,78 @@ TEST_F(FaultTest, SamePlanSameSeedReproducesBitIdenticalRuns) {
 
 // ---- checkpointed recovery (tentpole) -------------------------------------
 
+std::uint64_t fnv1a_bytes(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The whole save_checkpoint output of six 3-mega-batch runs on 3 GPUs, one
+// per section layout the writer produces, with the v4 run section cut out:
+// the HGCK v3 bytes the format had before the writer streamed from the
+// runtime, pinned.
+TEST_F(FaultTest, CheckpointBytesMatchPinnedV3Files) {
+  struct Case {
+    const char* name;
+    std::uint64_t fnv;
+    std::size_t bytes;
+  };
+  const Case cases[] = {
+      {"fp32 dense", 0x3fff56763011c605ull, 74876},
+      {"fp32 sparse_merge", 0xe05bc339737ccc2eull, 74876},
+      {"int8 adam", 0x215aadad622e2c95ull, 415796},
+      {"fp16", 0xcd3078db0c51520aull, 186476},
+      {"elastic", 0xb4f1a5fcf64f23a6ull, 74876},
+      {"crashed replica", 0xf0a8bf3987d0b246ull, 74876},
+  };
+  auto base = config();
+  base.num_megabatches = 3;
+  const double span =
+      core::AdaptiveSgdTrainer(dataset_, base, sim::v100_heterogeneous(3))
+          .train()
+          .total_vtime;
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    auto cfg = base;
+    auto method = core::Method::kAdaptive;
+    fault::FaultPlan plan;
+    switch (i) {
+      case 1:
+        cfg.sparse_merge = true;
+        break;
+      case 2:
+        cfg.merge_precision = comm::MergePrecision::kInt8;
+        cfg.optimizer.kind = nn::OptimizerKind::kAdam;
+        cfg.moment_merge = core::MomentMerge::kAverage;
+        break;
+      case 3:
+        cfg.merge_precision = comm::MergePrecision::kFp16;
+        break;
+      case 4:
+        method = core::Method::kElastic;
+        break;
+      case 5:
+        plan.events.push_back(
+            {fault::FaultKind::kCrash, 1, 0.4 * span, 0.0, 1.0, 0});
+        break;
+    }
+    core::AdaptiveSgdTrainer trainer(dataset_, cfg,
+                                     sim::v100_heterogeneous(3), method);
+    fault::FaultInjector(plan).arm(trainer.runtime());
+    trainer.train();
+    if (i == 5) {
+      ASSERT_FALSE(trainer.runtime().replica_alive(1));
+    }
+    const std::string bytes = without_run_section(
+        checkpoint_bytes(trainer), model_record_bytes(trainer));
+    EXPECT_EQ(bytes.size(), cases[i].bytes) << cases[i].name;
+    EXPECT_EQ(fnv1a_bytes(bytes), cases[i].fnv)
+        << cases[i].name << ": 0x" << std::hex << fnv1a_bytes(bytes);
+  }
+}
+
 TEST_F(FaultTest, CheckpointFileRoundTripsAllFields) {
   auto cfg = config();
   cfg.num_megabatches = 2;
@@ -693,6 +832,7 @@ TEST_F(FaultTest, CheckpointFileRoundTripsAllFields) {
   fault::save_checkpoint_file(path, ckpt);
   const auto loaded = fault::load_checkpoint_file(path);
 
+  EXPECT_EQ(loaded.version, 4u);
   EXPECT_EQ(loaded.seed, ckpt.seed);
   EXPECT_EQ(loaded.megabatches_completed, ckpt.megabatches_completed);
   EXPECT_EQ(loaded.samples_served, ckpt.samples_served);
@@ -713,36 +853,31 @@ TEST_F(FaultTest, CheckpointFileRoundTripsAllFields) {
   }
   EXPECT_EQ(loaded.scaling.interval, ckpt.scaling.interval);
   EXPECT_EQ(loaded.scaling.previous, ckpt.scaling.previous);
-  EXPECT_EQ(loaded.global_blob, ckpt.global_blob);
-  EXPECT_EQ(loaded.prev_global_blob, ckpt.prev_global_blob);
+  EXPECT_EQ(loaded.method, core::Method::kAdaptive);
+  EXPECT_EQ(loaded.totals.merges, 2u);
+  EXPECT_EQ(loaded.totals.perturbed_merges, ckpt.totals.perturbed_merges);
+  EXPECT_EQ(loaded.totals.scaling_updates, ckpt.totals.scaling_updates);
+  EXPECT_GT(loaded.totals.comm_seconds, 0.0);
+  EXPECT_EQ(loaded.totals.comm_seconds, ckpt.totals.comm_seconds);
+
+  // The model records hold the live global and momentum models: a restore
+  // reproduces both bit for bit, and load_checkpoint stops at the global
+  // model's bytes.
+  core::AdaptiveSgdTrainer restored(dataset_, cfg,
+                                    sim::v100_heterogeneous(2));
+  fault::restore_checkpoint_file(restored, path);
+  EXPECT_EQ(restored.runtime().global_model().to_flat(),
+            trainer.runtime().global_model().to_flat());
+  EXPECT_EQ(restored.runtime().prev_global_model().to_flat(),
+            trainer.runtime().prev_global_model().to_flat());
+  std::ifstream in(path, std::ios::binary);
+  fault::load_checkpoint(in);
+  EXPECT_EQ(nn::load_any_model(in).to_flat(),
+            trainer.runtime().global_model().to_flat());
   std::remove(path.c_str());
 }
 
 // ---- corrupt / hostile checkpoint bytes (untrusted-input hardening) -------
-
-// A serialized checkpoint small enough to corrupt surgically.
-std::string tiny_checkpoint_bytes() {
-  fault::TrainingCheckpoint ckpt;
-  ckpt.seed = 7;
-  ckpt.megabatches_completed = 2;
-  ckpt.gpus.resize(2);
-  for (std::size_t g = 0; g < ckpt.gpus.size(); ++g) {
-    ckpt.gpus[g].batch_size = 32;
-    ckpt.gpus[g].rng = util::Rng(g).state();
-  }
-  ckpt.scaling.previous = {32, 64};
-  ckpt.scaling.last_direction = {1, -1};
-  ckpt.global_blob = std::string(96, 'G');
-  ckpt.prev_global_blob = std::string(96, 'P');
-  std::ostringstream out(std::ios::binary);
-  fault::save_checkpoint(out, ckpt);
-  return out.str();
-}
-
-fault::TrainingCheckpoint load_from_bytes(const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
-  return fault::load_checkpoint(in);
-}
 
 void write_u64_at(std::string& bytes, std::size_t offset, std::uint64_t v) {
   ASSERT_LE(offset + sizeof(v), bytes.size());
@@ -759,22 +894,28 @@ TEST_F(FaultTest, CorruptCheckpointWrongMagicIsTypedError) {
     EXPECT_EQ(e.source(), "checkpoint");
     EXPECT_NE(e.offset(), hetero::ParseError::npos);
   }
+  expect_corrupt(bytes, "bad magic");
 }
 
 TEST_F(FaultTest, CorruptCheckpointHostileBlobLengthIsTypedErrorNotBadAlloc) {
-  // The global-model blob length field sits before the last two
-  // size-prefixed blobs. A hostile 2^63 length must be rejected against the
-  // remaining stream size BEFORE any allocation happens — the pre-fix code
-  // fed it straight into std::string::resize (bad_alloc/length_error).
+  // The global model record's length field sits before the last two model
+  // records. A hostile 2^63 length must be rejected against the remaining
+  // stream size before anything is allocated or written.
   auto bytes = tiny_checkpoint_bytes();
-  const std::size_t global_len_at = bytes.size() - (8 + 96 + 8 + 96);
+  const std::size_t record = model_record_bytes(*tiny_trainer());
+  const std::size_t global_len_at = bytes.size() - 2 * record;
   write_u64_at(bytes, global_len_at, std::uint64_t{1} << 63);
-  EXPECT_THROW(load_from_bytes(bytes), hetero::ParseError);
+  expect_corrupt(bytes, "2^63 model record length");
 
   // A length just past the bytes actually present is equally hostile.
   auto near = tiny_checkpoint_bytes();
-  write_u64_at(near, global_len_at, 96 + 1024);
-  EXPECT_THROW(load_from_bytes(near), hetero::ParseError);
+  write_u64_at(near, global_len_at, 2 * record + 1024);
+  expect_corrupt(near, "model record past the end");
+
+  // So is one that disagrees with the model it frames.
+  auto off = tiny_checkpoint_bytes();
+  write_u64_at(off, global_len_at, record - 8 - 4);
+  EXPECT_THROW(restore_from_bytes(*tiny_trainer(), off), hetero::ParseError);
 }
 
 TEST_F(FaultTest, CorruptCheckpointHostileGpuCountIsTypedError) {
@@ -783,17 +924,18 @@ TEST_F(FaultTest, CorruptCheckpointHostileGpuCountIsTypedError) {
   // multi-exabyte vector.
   auto bytes = tiny_checkpoint_bytes();
   write_u64_at(bytes, 64, std::uint64_t{1} << 62);
-  EXPECT_THROW(load_from_bytes(bytes), hetero::ParseError);
+  expect_corrupt(bytes, "2^62 GPUs");
 }
 
 TEST_F(FaultTest, TruncatedCheckpointTailIsTypedError) {
   const auto bytes = tiny_checkpoint_bytes();
   // Every proper prefix must produce a clean typed error (torn write /
-  // partial download), never UB or a crash.
+  // partial download), never UB or a crash: a restore reads every record.
   for (const double frac : {0.0, 0.1, 0.5, 0.9, 0.999}) {
     const auto cut = static_cast<std::size_t>(
         frac * static_cast<double>(bytes.size()));
-    EXPECT_THROW(load_from_bytes(bytes.substr(0, cut)), hetero::ParseError)
+    EXPECT_THROW(restore_from_bytes(*tiny_trainer(), bytes.substr(0, cut)),
+                 hetero::ParseError)
         << "prefix of " << cut << " bytes";
   }
 }
@@ -801,7 +943,7 @@ TEST_F(FaultTest, TruncatedCheckpointTailIsTypedError) {
 TEST_F(FaultTest, CheckpointUnsupportedVersionIsTypedError) {
   auto bytes = tiny_checkpoint_bytes();
   bytes[4] = 9;  // version u32 follows the 4-byte magic
-  EXPECT_THROW(load_from_bytes(bytes), hetero::ParseError);
+  expect_corrupt(bytes, "version 9");
 }
 
 TEST_F(FaultTest, ResumeFromCorruptFileIsTypedError) {
@@ -813,6 +955,8 @@ TEST_F(FaultTest, ResumeFromCorruptFileIsTypedError) {
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size() / 2));
   }
+  EXPECT_THROW(fault::restore_checkpoint_file(*tiny_trainer(), path),
+               hetero::ParseError);
   EXPECT_THROW(fault::load_checkpoint_file(path), hetero::ParseError);
   std::remove(path.c_str());
 }
@@ -842,7 +986,7 @@ TEST_F(FaultTest, ResumedRunBitIdenticalToUninterrupted) {
 
     core::AdaptiveSgdTrainer resumed(dataset_, cfg,
                                      sim::v100_heterogeneous(3));
-    fault::restore_checkpoint(resumed, fault::load_checkpoint_file(path));
+    fault::restore_checkpoint_file(resumed, path);
     const auto resumed_result = resumed.train();
 
     // The resumed curve re-records the restored boundary, then continues
@@ -913,11 +1057,10 @@ TEST_F(FaultTest, ElasticResumedRunBitIdenticalToUninterrupted) {
     fault::save_checkpoint_file(path, fault::capture_checkpoint(*first_half));
 
     auto resumed = elastic(cfg);
-    const auto ckpt = fault::load_checkpoint_file(path);
+    const auto ckpt = fault::restore_checkpoint_file(*resumed, path);
     if (!plan.empty()) {
       ASSERT_EQ(ckpt.gpus[1].alive, 0u) << "the crash lands before the save";
     }
-    fault::restore_checkpoint(*resumed, ckpt);
     fault::FaultInjector(plan).arm(resumed->runtime(), ckpt.vtime);
     const auto resumed_result = resumed->train();
     EXPECT_EQ(resumed_result.faults.joins, full_result.faults.joins) << label;
@@ -937,6 +1080,79 @@ TEST_F(FaultTest, ElasticResumedRunBitIdenticalToUninterrupted) {
               full->runtime().global_model().to_flat())
         << label;
     std::remove(path.c_str());
+  }
+}
+
+// A resumed run reports the uninterrupted run's totals, not just those of
+// the part after the resume: merges, perturbed merges, scaling updates,
+// communication time and the fault counters, for both methods, healthy and
+// with an OOM window and a crash before the checkpoint and a join after it.
+TEST_F(FaultTest, ResumedRunTotalsEqualUninterrupted) {
+  auto cfg = config();
+  cfg.num_megabatches = 6;
+  for (const auto method : {core::Method::kAdaptive, core::Method::kElastic}) {
+    const auto trainer = [&](const core::TrainerConfig& c) {
+      return std::make_unique<core::AdaptiveSgdTrainer>(
+          dataset_, c, sim::v100_heterogeneous(3), method);
+    };
+    const auto probe = trainer(cfg);
+    const double span = probe->train().total_vtime;
+    const double avg_nnz = dataset_.train.features.avg_row_nnz();
+    const auto& model = probe->runtime().global_model();
+    fault::FaultPlan faults;
+    faults.events.push_back(
+        {fault::FaultKind::kOom, 2, 0.05 * span, 0.3 * span, 1.0,
+         2 * model.num_bytes() + model.step_memory_bytes(8, avg_nnz)});
+    faults.events.push_back(
+        {fault::FaultKind::kCrash, 1, 0.25 * span, 0.0, 1.0, 0});
+    faults.events.push_back(
+        {fault::FaultKind::kJoin, 1, 0.65 * span, 0.0, 1.0, 0});
+
+    for (const auto& plan : {fault::FaultPlan{}, faults}) {
+      const std::string label =
+          core::to_string(method) + (plan.empty() ? " healthy" : " faults");
+      auto full = trainer(cfg);
+      fault::FaultInjector(plan).arm(full->runtime());
+      const auto want = full->train();
+      EXPECT_EQ(want.merges, 6u) << label;
+      if (!plan.empty()) {
+        EXPECT_GT(want.faults.oom_clamps, 0u) << label;
+        EXPECT_EQ(want.faults.crashes, 1u) << label;
+        EXPECT_EQ(want.faults.joins, 1u) << label;
+        EXPECT_GT(want.faults.degraded_merges, 0u) << label;
+        EXPECT_GT(want.faults.recovery_seconds, 0.0) << label;
+      }
+
+      auto cfg3 = cfg;
+      cfg3.num_megabatches = 3;
+      auto first_half = trainer(cfg3);
+      fault::FaultInjector(plan).arm(first_half->runtime());
+      first_half->train();
+      auto resumed = trainer(cfg);
+      const auto ckpt =
+          restore_from_bytes(*resumed, checkpoint_bytes(*first_half));
+      if (!plan.empty()) {
+        ASSERT_EQ(ckpt.gpus[1].alive, 0u) << "the crash lands before the save";
+      }
+      fault::FaultInjector(plan).arm(resumed->runtime(), ckpt.vtime);
+      const auto got = resumed->train();
+
+      EXPECT_EQ(got.total_vtime, want.total_vtime) << label;
+      EXPECT_EQ(got.merges, want.merges) << label;
+      EXPECT_EQ(got.perturbed_merges, want.perturbed_merges) << label;
+      EXPECT_EQ(got.scaling_updates, want.scaling_updates) << label;
+      EXPECT_EQ(got.comm_seconds, want.comm_seconds) << label;
+      EXPECT_EQ(got.faults.events_injected, want.faults.events_injected)
+          << label;
+      EXPECT_EQ(got.faults.oom_events, want.faults.oom_events) << label;
+      EXPECT_EQ(got.faults.oom_clamps, want.faults.oom_clamps) << label;
+      EXPECT_EQ(got.faults.crashes, want.faults.crashes) << label;
+      EXPECT_EQ(got.faults.joins, want.faults.joins) << label;
+      EXPECT_EQ(got.faults.degraded_merges, want.faults.degraded_merges)
+          << label;
+      EXPECT_EQ(got.faults.recovery_seconds, want.faults.recovery_seconds)
+          << label;
+    }
   }
 }
 
@@ -965,7 +1181,7 @@ TEST_F(FaultTest, QuantizedResumedRunBitIdenticalToUninterrupted) {
 
     core::AdaptiveSgdTrainer resumed(dataset_, cfg,
                                      sim::v100_heterogeneous(3));
-    fault::restore_checkpoint(resumed, fault::load_checkpoint_file(path));
+    fault::restore_checkpoint_file(resumed, path);
     const auto resumed_result = resumed.train();
 
     ASSERT_EQ(resumed_result.curve.size(), 4u);
@@ -1005,13 +1221,11 @@ TEST_F(FaultTest, CheckpointRoundTripsCompressionState) {
   trainer.train();
   const auto ckpt = fault::capture_checkpoint(trainer);
   EXPECT_EQ(ckpt.compressed, 1u);
-  ASSERT_EQ(ckpt.residual_blobs.size(), 2u);
   bool any = false;
-  for (const auto& blob : ckpt.residual_blobs) {
-    EXPECT_EQ(blob.size(),
-              trainer.runtime().global_model().num_parameters() *
-                  sizeof(float));
-    for (const char c : blob) any |= (c != 0);
+  for (std::size_t g = 0; g < 2; ++g) {
+    const auto res = trainer.runtime().residual_state(g);
+    EXPECT_EQ(res.size(), trainer.runtime().global_model().num_parameters());
+    for (const float v : res) any |= (v != 0.0f);
   }
   EXPECT_TRUE(any) << "int8 merges must leave a nonzero residual";
 
@@ -1021,7 +1235,21 @@ TEST_F(FaultTest, CheckpointRoundTripsCompressionState) {
   EXPECT_EQ(loaded.compressed, ckpt.compressed);
   EXPECT_EQ(loaded.loss_scale, ckpt.loss_scale);
   EXPECT_EQ(loaded.loss_scale_streak, ckpt.loss_scale_streak);
-  EXPECT_EQ(loaded.residual_blobs, ckpt.residual_blobs);
+
+  // Each replica's residual comes back bit for bit.
+  core::AdaptiveSgdTrainer restored(dataset_, cfg,
+                                    sim::v100_heterogeneous(2));
+  fault::restore_checkpoint_file(restored, path);
+  for (std::size_t g = 0; g < 2; ++g) {
+    const auto a = restored.runtime().residual_state(g);
+    const auto b = trainer.runtime().residual_state(g);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size_bytes()))
+        << "residual replica " << g;
+  }
+  EXPECT_EQ(restored.runtime().loss_scale_guard().scale, ckpt.loss_scale);
+  EXPECT_EQ(restored.runtime().loss_scale_guard().good_streak,
+            ckpt.loss_scale_streak);
   std::remove(path.c_str());
 }
 
@@ -1031,14 +1259,14 @@ TEST_F(FaultTest, RestoreRejectsCompressionMismatch) {
   cfg.merge_precision = comm::MergePrecision::kFp16;
   core::AdaptiveSgdTrainer quant(dataset_, cfg, sim::v100_heterogeneous(2));
   quant.train();
-  const auto ckpt = fault::capture_checkpoint(quant);
+  const auto bytes = checkpoint_bytes(quant);
 
   // A checkpoint carrying residuals cannot restore into an fp32 runtime.
   auto cfg_fp32 = cfg;
   cfg_fp32.merge_precision = comm::MergePrecision::kFp32;
   core::AdaptiveSgdTrainer plain(dataset_, cfg_fp32,
                                  sim::v100_heterogeneous(2));
-  EXPECT_THROW(fault::restore_checkpoint(plain, ckpt), std::runtime_error);
+  EXPECT_THROW(restore_from_bytes(plain, bytes), hetero::MismatchError);
 
   // The reverse direction is allowed: an fp32 checkpoint restores into a
   // compressed runtime with zero residuals and the default loss scale.
@@ -1047,6 +1275,7 @@ TEST_F(FaultTest, RestoreRejectsCompressionMismatch) {
   plain2.train();
   const auto plain_ckpt = fault::capture_checkpoint(plain2);
   EXPECT_EQ(plain_ckpt.compressed, 0u);
+  const auto plain_bytes = checkpoint_bytes(plain2);
   core::AdaptiveSgdTrainer quant2(dataset_, cfg, sim::v100_heterogeneous(2));
   // Dirty the error-feedback state first: restore must reset it
   // explicitly rather than trust the runtime to be freshly constructed.
@@ -1057,7 +1286,7 @@ TEST_F(FaultTest, RestoreRejectsCompressionMismatch) {
     ASSERT_FALSE(res.empty());
     res[0] = 0.5f;
   }
-  fault::restore_checkpoint(quant2, plain_ckpt);
+  restore_from_bytes(quant2, plain_bytes);
   for (std::size_t g = 0; g < quant2.runtime().num_gpus(); ++g) {
     for (const float v : quant2.runtime().residual_state(g)) {
       ASSERT_EQ(v, 0.0f);
@@ -1069,52 +1298,78 @@ TEST_F(FaultTest, RestoreRejectsCompressionMismatch) {
 }
 
 TEST_F(FaultTest, CheckpointVersion1StillLoads) {
-  // A v1 checkpoint is a v3 one minus the merge-compression section (a
-  // single 0 flag byte when uncompressed) and the optimizer section (3
-  // metadata bytes + u64 record count when the run used stateless sgd with
-  // no captured replicas). Rewrite the version field and strip both.
-  auto bytes = tiny_checkpoint_bytes();
+  // A v1 checkpoint is a v4 one minus the merge-compression section (a
+  // single 0 flag byte when uncompressed), the optimizer section (3
+  // metadata bytes, a u64 record count and one u64 step per replica for
+  // stateless sgd) and the run section. Rewrite the version field and strip
+  // all three.
+  const auto source = tiny_trainer();
+  source->train();
+  auto bytes = checkpoint_bytes(*source);
   const std::uint32_t v1 = 1;
   std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
-  const std::size_t kOptSection = 3 + 8;
+  const std::size_t opt_section = 3 + 8 + 2 * 8;
+  const std::size_t strip = 1 + opt_section + kRunSection;
   const std::size_t flag_at =
-      bytes.size() - (1 + kOptSection + 8 + 96 + 8 + 96);
+      bytes.size() - (strip + 2 * model_record_bytes(*source));
   ASSERT_EQ(bytes[flag_at], 0);  // the compressed=0 flag
-  bytes.erase(flag_at, 1 + kOptSection);
+  bytes.erase(flag_at, strip);
   const auto loaded = load_from_bytes(bytes);
+  EXPECT_EQ(loaded.version, 1u);
   EXPECT_EQ(loaded.compressed, 0u);
-  EXPECT_TRUE(loaded.residual_blobs.empty());
-  EXPECT_EQ(loaded.global_blob, std::string(96, 'G'));
-  EXPECT_EQ(loaded.prev_global_blob, std::string(96, 'P'));
+  EXPECT_TRUE(loaded.opt_steps.empty());
+
+  // It restores both models, and the run's totals start at zero.
+  const auto restored = tiny_trainer();
+  restore_from_bytes(*restored, bytes);
+  EXPECT_EQ(restored->runtime().global_model().to_flat(),
+            source->runtime().global_model().to_flat());
+  EXPECT_EQ(restored->runtime().prev_global_model().to_flat(),
+            source->runtime().prev_global_model().to_flat());
+  EXPECT_EQ(restored->run_totals().merges, 0u);
+  EXPECT_EQ(restored->run_totals().comm_seconds, 0.0);
 }
 
 TEST_F(FaultTest, CorruptCheckpointHostileResidualCountIsTypedError) {
-  // Build a compressed checkpoint, then blast the residual count field.
-  fault::TrainingCheckpoint ckpt;
-  ckpt.gpus.resize(1);
-  ckpt.compressed = 1;
-  ckpt.residual_blobs = {std::string(8, 'R')};
-  ckpt.global_blob = std::string(16, 'G');
-  ckpt.prev_global_blob = std::string(16, 'P');
-  std::ostringstream out(std::ios::binary);
-  fault::save_checkpoint(out, ckpt);
-  auto bytes = out.str();
-  // residual count u64 sits before {8-len + 8 bytes} + the empty optimizer
-  // section (3 + 8 bytes) + two 16-byte blobs.
-  const std::size_t kOptSection = 3 + 8;
+  // A compressed checkpoint, then blast the residual count field.
+  auto cfg = config();
+  cfg.num_megabatches = 2;
+  cfg.merge_precision = comm::MergePrecision::kInt8;
+  const auto trainer = [&] {
+    return std::make_unique<core::AdaptiveSgdTrainer>(
+        dataset_, cfg, sim::v100_heterogeneous(2));
+  };
+  const auto source = trainer();
+  source->train();
+  const auto bytes = checkpoint_bytes(*source);
+  // The residual count u64 sits before two size-prefixed residuals, the
+  // sgd optimizer section (3 + 8 + 2 steps), the run section and the two
+  // model records.
+  const std::size_t residual = 8 + source->runtime().residual_state(0).size_bytes();
   const std::size_t count_at =
-      bytes.size() - (8 + 8 + kOptSection + 8 + 16 + 8 + 16 + 8);
-  write_u64_at(bytes, count_at, std::uint64_t{1} << 61);
-  EXPECT_THROW(load_from_bytes(bytes), hetero::ParseError);
+      bytes.size() - (8 + 2 * residual + 3 + 8 + 2 * 8 + kRunSection +
+                      2 * model_record_bytes(*source));
+  auto bad_count = bytes;
+  write_u64_at(bad_count, count_at, std::uint64_t{1} << 61);
+  EXPECT_THROW(load_from_bytes(bad_count), hetero::ParseError);
+  EXPECT_THROW(restore_from_bytes(*trainer(), bad_count), hetero::ParseError);
 
   // Out-of-range loss scale is rejected as well (f64 before the streak and
   // the residual count).
-  auto bad_scale = out.str();
-  const std::size_t scale_at =
-      bad_scale.size() - (8 + 8 + 8 + 8 + kOptSection + 8 + 16 + 8 + 16 + 8);
+  auto bad_scale = bytes;
   const double huge = 1e300;
-  std::memcpy(bad_scale.data() + scale_at, &huge, sizeof(huge));
+  std::memcpy(bad_scale.data() + count_at - 16, &huge, sizeof(huge));
   EXPECT_THROW(load_from_bytes(bad_scale), hetero::ParseError);
+  EXPECT_THROW(restore_from_bytes(*trainer(), bad_scale), hetero::ParseError);
+
+  // And a residual length past the bytes left.
+  auto bad_len = bytes;
+  write_u64_at(bad_len, count_at + 8, std::uint64_t{1} << 62);
+  EXPECT_THROW(load_from_bytes(bad_len), hetero::ParseError);
+  EXPECT_THROW(restore_from_bytes(*trainer(), bad_len), hetero::ParseError);
+
+  // The pristine bytes restore.
+  EXPECT_NO_THROW(restore_from_bytes(*trainer(), bytes));
 }
 
 TEST_F(FaultTest, QuantizedCrashZeroesResidualOfDeadReplica) {
@@ -1163,6 +1418,42 @@ TEST_F(FaultTest, PeriodicCheckpointHookWritesAtCadenceAndEnd) {
   const auto ckpt = fault::load_checkpoint_file(path);
   EXPECT_EQ(ckpt.megabatches_completed, 3u);
   EXPECT_EQ(ckpt.samples_served, trainer.runtime().samples_served());
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << "temp file left";
+  std::remove(path.c_str());
+}
+
+// A checkpoint file is written beside its path and renamed over it: a
+// write that fails leaves the previous checkpoint byte for byte.
+TEST_F(FaultTest, FailedCheckpointWriteKeepsThePreviousFile) {
+  const auto read_file = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  const auto trainer = tiny_trainer();
+  trainer->train();
+  const auto path = temp_path("fault_crash_safe.ckpt");
+  const auto tmp = path + ".tmp";
+  fault::save_checkpoint_file(path, fault::capture_checkpoint(*trainer));
+  const auto good = read_file(path);
+  ASSERT_EQ(good, checkpoint_bytes(*trainer));
+  EXPECT_FALSE(std::ifstream(tmp).good()) << "temp file left";
+
+  // The write fails part-way: a checkpoint that was not captured has no
+  // payload to stream.
+  EXPECT_THROW(fault::save_checkpoint_file(path, fault::TrainingCheckpoint{}),
+               std::invalid_argument);
+  EXPECT_EQ(read_file(path), good);
+  EXPECT_FALSE(std::ifstream(tmp).good()) << "temp file left";
+
+  // The temporary file cannot be opened: a directory holds its name.
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  EXPECT_THROW(
+      fault::save_checkpoint_file(path, fault::capture_checkpoint(*trainer)),
+      std::runtime_error);
+  EXPECT_EQ(read_file(path), good);
+  std::filesystem::remove(tmp);
   std::remove(path.c_str());
 }
 
@@ -1172,18 +1463,59 @@ TEST_F(FaultTest, RestoreRejectsMismatchedTrainer) {
   core::AdaptiveSgdTrainer trainer(dataset_, cfg,
                                    sim::v100_heterogeneous(2));
   trainer.train();
-  const auto ckpt = fault::capture_checkpoint(trainer);
+  const auto bytes = checkpoint_bytes(trainer);
 
   // Wrong GPU count.
   core::AdaptiveSgdTrainer three(dataset_, cfg, sim::v100_heterogeneous(3));
-  EXPECT_THROW(fault::restore_checkpoint(three, ckpt), std::runtime_error);
+  EXPECT_THROW(restore_from_bytes(three, bytes), hetero::MismatchError);
   // Wrong seed.
   auto cfg_seed = cfg;
   cfg_seed.seed = 999;
   core::AdaptiveSgdTrainer other_seed(dataset_, cfg_seed,
                                       sim::v100_heterogeneous(2));
-  EXPECT_THROW(fault::restore_checkpoint(other_seed, ckpt),
-               std::runtime_error);
+  EXPECT_THROW(restore_from_bytes(other_seed, bytes), hetero::MismatchError);
+  // Mega-batches of another size: the sample position does not fit.
+  auto cfg_mega = cfg;
+  cfg_mega.batches_per_megabatch = 4;
+  core::AdaptiveSgdTrainer other_mega(dataset_, cfg_mega,
+                                      sim::v100_heterogeneous(2));
+  EXPECT_THROW(restore_from_bytes(other_mega, bytes), hetero::MismatchError);
+  // A run shorter than the checkpointed part.
+  auto cfg_short = cfg;
+  cfg_short.num_megabatches = 1;
+  core::AdaptiveSgdTrainer short_run(dataset_, cfg_short,
+                                     sim::v100_heterogeneous(2));
+  EXPECT_THROW(restore_from_bytes(short_run, bytes), hetero::MismatchError);
+}
+
+// A v4 checkpoint names its method: resuming it as another method fails
+// with both names; a v3 one carries no method and restores either way.
+TEST_F(FaultTest, RestoreRejectsMethodMismatch) {
+  auto cfg = config();
+  cfg.num_megabatches = 2;
+  const auto trainer = [&](core::Method method) {
+    return std::make_unique<core::AdaptiveSgdTrainer>(
+        dataset_, cfg, sim::v100_heterogeneous(2), method);
+  };
+  const auto adaptive = trainer(core::Method::kAdaptive);
+  adaptive->train();
+  const auto bytes = checkpoint_bytes(*adaptive);
+  try {
+    restore_from_bytes(*trainer(core::Method::kElastic), bytes);
+    ADD_FAILURE() << "resumed an adaptive-sgd checkpoint as elastic-sgd";
+  } catch (const hetero::MismatchError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("adaptive-sgd"), std::string::npos) << what;
+    EXPECT_NE(what.find("elastic-sgd"), std::string::npos) << what;
+  }
+  EXPECT_NO_THROW(restore_from_bytes(*trainer(core::Method::kAdaptive), bytes));
+
+  const auto v3 = without_run_section(bytes, model_record_bytes(*adaptive));
+  const auto elastic = trainer(core::Method::kElastic);
+  EXPECT_EQ(restore_from_bytes(*elastic, v3).version, 3u);
+  EXPECT_EQ(elastic->runtime().global_model().to_flat(),
+            adaptive->runtime().global_model().to_flat());
+  EXPECT_EQ(elastic->run_totals().merges, 0u);
 }
 
 // Restoring a model of another shape but the same parameter count must fail
@@ -1197,16 +1529,22 @@ void expect_shape_rejected(core::AdaptiveSgdTrainer& source,
   const nn::Model impostor(features, {hidden.begin(), hidden.end()}, classes);
   ASSERT_EQ(impostor.num_parameters(),
             target.runtime().global_model().num_parameters());
-  std::ostringstream blob(std::ios::binary);
-  nn::save_model(blob, impostor);
-  auto ckpt = fault::capture_checkpoint(source);
-  ckpt.global_blob = blob.str();
-  ckpt.prev_global_blob = blob.str();
+  // The source's checkpoint with both model records swapped for the
+  // impostor's.
+  std::string bytes = checkpoint_bytes(source);
+  bytes.resize(bytes.size() - 2 * model_record_bytes(source));
+  std::ostringstream records(std::ios::binary);
+  for (int i = 0; i < 2; ++i) {
+    const std::uint64_t n = nn::serialized_size(impostor);
+    records.write(reinterpret_cast<const char*>(&n), sizeof(n));
+    nn::save_model(records, impostor);
+  }
+  bytes += records.str();
   const auto before = target.runtime().global_model().to_flat();
   try {
-    fault::restore_checkpoint(target, ckpt);
+    restore_from_bytes(target, bytes);
     ADD_FAILURE() << "restored a " << got << " model into " << want;
-  } catch (const std::runtime_error& e) {
+  } catch (const hetero::MismatchError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find(got), std::string::npos) << what;
     EXPECT_NE(what.find(want), std::string::npos) << what;
@@ -1269,11 +1607,12 @@ TEST_F(FaultTest, ResumeWithFaultPlanSkipsAlreadyAppliedEvents) {
 
   core::AdaptiveSgdTrainer resumed(dataset_, cfg,
                                    sim::v100_heterogeneous(3));
-  fault::restore_checkpoint(resumed, ckpt);
-  // Re-arm with the checkpoint vtime: the crash must not fire again.
+  restore_from_bytes(resumed, checkpoint_bytes(first_half));
+  // Re-arm with the checkpoint vtime: the crash must not fire again, so the
+  // restored count is the whole run's.
   fault::FaultInjector(plan).arm(resumed.runtime(), ckpt.vtime);
   const auto resumed_result = resumed.train();
-  EXPECT_EQ(resumed_result.faults.crashes, 0u);  // fresh stats, no re-fire
+  EXPECT_EQ(resumed_result.faults.crashes, ref_result.faults.crashes);
   EXPECT_EQ(resumed.runtime().global_model().to_flat(),
             reference.runtime().global_model().to_flat());
 }
@@ -1406,45 +1745,39 @@ TEST_F(FaultTest, CheckpointV3RoundTripsOptimizerState) {
             static_cast<std::uint8_t>(nn::OptimizerKind::kAdam));
   EXPECT_EQ(ckpt.opt_num_slots, 2u);
   EXPECT_EQ(ckpt.opt_has_row_steps, 1u);
-  ASSERT_EQ(ckpt.opt_replicas.size(), 3u);
-  // The capture holds each slot as the concatenation of its segment views.
+  ASSERT_EQ(ckpt.opt_steps.size(), 3u);
   for (std::size_t g = 0; g < 3; ++g) {
-    auto& opt = trainer.runtime().optimizer(g);
-    const auto steps = opt.row_steps();
-    EXPECT_TRUE(std::equal(steps.begin(), steps.end(),
-                           ckpt.opt_replicas[g].row_steps.begin(),
-                           ckpt.opt_replicas[g].row_steps.end()));
-    ASSERT_EQ(ckpt.opt_replicas[g].slots.size(), 2u);
-    for (std::size_t slot = 0; slot < 2; ++slot) {
-      std::vector<float> live;
-      for (const auto seg : opt.slot_views(slot)) {
-        live.insert(live.end(), seg.begin(), seg.end());
-      }
-      EXPECT_EQ(live, ckpt.opt_replicas[g].slots[slot])
-          << "replica " << g << " slot " << slot;
-    }
+    EXPECT_EQ(ckpt.opt_steps[g], trainer.runtime().optimizer(g).step());
   }
 
   std::ostringstream out(std::ios::binary);
   fault::save_checkpoint(out, ckpt);
-  std::istringstream in(out.str(), std::ios::binary);
-  const auto loaded = fault::load_checkpoint(in);
+  const auto loaded = load_from_bytes(out.str());
   EXPECT_EQ(loaded.opt_kind, ckpt.opt_kind);
   EXPECT_EQ(loaded.opt_num_slots, ckpt.opt_num_slots);
   EXPECT_EQ(loaded.opt_has_row_steps, ckpt.opt_has_row_steps);
-  ASSERT_EQ(loaded.opt_replicas.size(), ckpt.opt_replicas.size());
-  for (std::size_t g = 0; g < ckpt.opt_replicas.size(); ++g) {
-    EXPECT_EQ(loaded.opt_replicas[g].step, ckpt.opt_replicas[g].step);
-    EXPECT_EQ(loaded.opt_replicas[g].row_steps,
-              ckpt.opt_replicas[g].row_steps);
-    ASSERT_EQ(loaded.opt_replicas[g].slots.size(),
-              ckpt.opt_replicas[g].slots.size());
-    for (std::size_t s = 0; s < ckpt.opt_replicas[g].slots.size(); ++s) {
-      const auto& a = ckpt.opt_replicas[g].slots[s];
-      const auto& b = loaded.opt_replicas[g].slots[s];
-      ASSERT_EQ(a.size(), b.size());
-      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
-          << "replica " << g << " slot " << s;
+  EXPECT_EQ(loaded.opt_steps, ckpt.opt_steps);
+
+  // A restore reproduces every replica's step, row counters and each slot
+  // (the concatenation of its segment views) bit for bit.
+  core::AdaptiveSgdTrainer restored(dataset_, cfg,
+                                    sim::v100_heterogeneous(3));
+  restore_from_bytes(restored, out.str());
+  for (std::size_t g = 0; g < 3; ++g) {
+    auto& live = trainer.runtime().optimizer(g);
+    auto& back = restored.runtime().optimizer(g);
+    EXPECT_EQ(back.step(), live.step()) << "replica " << g;
+    const auto a = live.row_steps();
+    const auto b = back.row_steps();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size_bytes()))
+        << "replica " << g;
+    for (std::size_t slot = 0; slot < 2; ++slot) {
+      const auto x = flat_optimizer_state(live, slot);
+      const auto y = flat_optimizer_state(back, slot);
+      ASSERT_EQ(x.size(), y.size());
+      EXPECT_EQ(0, std::memcmp(x.data(), y.data(), x.size() * sizeof(float)))
+          << "replica " << g << " slot " << slot;
     }
   }
 }
@@ -1472,7 +1805,7 @@ TEST_F(FaultTest, AdamResumedRunBitIdenticalToUninterrupted) {
   fault::save_checkpoint_file(path, fault::capture_checkpoint(first_half));
 
   core::AdaptiveSgdTrainer resumed(dataset_, cfg, sim::v100_heterogeneous(3));
-  fault::restore_checkpoint(resumed, fault::load_checkpoint_file(path));
+  fault::restore_checkpoint_file(resumed, path);
   const auto resumed_result = resumed.train();
 
   ASSERT_EQ(resumed_result.curve.size(), 4u);
@@ -1512,93 +1845,106 @@ TEST_F(FaultTest, RestoreRejectsOptimizerKindMismatch) {
   cfg.optimizer.kind = nn::OptimizerKind::kAdagrad;
   core::AdaptiveSgdTrainer adagrad(dataset_, cfg, sim::v100_heterogeneous(2));
   adagrad.train();
-  const auto ckpt = fault::capture_checkpoint(adagrad);
+  const auto bytes = checkpoint_bytes(adagrad);
 
   auto adam_cfg = cfg;
   adam_cfg.optimizer.kind = nn::OptimizerKind::kAdam;
   core::AdaptiveSgdTrainer adam(dataset_, adam_cfg,
                                 sim::v100_heterogeneous(2));
-  EXPECT_THROW(fault::restore_checkpoint(adam, ckpt), std::runtime_error);
+  EXPECT_THROW(restore_from_bytes(adam, bytes), hetero::MismatchError);
 }
 
 TEST_F(FaultTest, CorruptCheckpointHostileOptimizerSectionIsTypedError) {
   auto cfg = config();
   cfg.optimizer.kind = nn::OptimizerKind::kAdam;
-  core::AdaptiveSgdTrainer trainer(dataset_, cfg, sim::v100_heterogeneous(2));
-  trainer.train();
-  const auto ckpt = fault::capture_checkpoint(trainer);
-  std::ostringstream out(std::ios::binary);
-  fault::save_checkpoint(out, ckpt);
-  const std::string bytes = out.str();
+  const auto trainer = [&] {
+    return std::make_unique<core::AdaptiveSgdTrainer>(
+        dataset_, cfg, sim::v100_heterogeneous(2));
+  };
+  const auto source = trainer();
+  source->train();
+  const std::string bytes = checkpoint_bytes(*source);
 
-  // Locate the optimizer section tail-relative: the two size-prefixed model
-  // blobs are always the final records, and the section length follows
-  // exactly from the captured struct.
-  const std::size_t tail =
-      (8 + ckpt.global_blob.size()) + (8 + ckpt.prev_global_blob.size());
-  std::size_t section = 3 + 8;
-  for (const auto& rep : ckpt.opt_replicas) {
-    section += 8;  // step
-    section += 8 + rep.row_steps.size() * sizeof(std::uint32_t);
-    for (const auto& slot : rep.slots) {
-      section += 8 + slot.size() * sizeof(float);
+  // Locate the optimizer section tail-relative: the run section and the
+  // two model records are always the final records, and the section length
+  // follows from the live optimizer state.
+  const std::size_t tail = kRunSection + 2 * model_record_bytes(*source);
+  const std::size_t rows = source->runtime().optimizer(0).row_steps().size();
+  const std::size_t params =
+      source->runtime().global_model().num_parameters();
+  // Per replica: step, row counters, two slots of one float per parameter.
+  const std::size_t replica =
+      8 + (8 + rows * sizeof(std::uint32_t)) + 2 * (8 + params * sizeof(float));
+  const std::size_t start = bytes.size() - tail - (3 + 8 + 2 * replica);
+
+  // Structural damage fails both readers; a bad float only surfaces when a
+  // restore reads the state (load_checkpoint skips it).
+  const auto expect_restore_error = [&](const std::string& mutated,
+                                        const std::string& what) {
+    try {
+      restore_from_bytes(*trainer(), mutated);
+      ADD_FAILURE() << "restored " << what;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
     }
-  }
-  const std::size_t start = bytes.size() - tail - section;
-
-  const auto expect_parse_error = [&](std::string mutated, const char* what) {
-    std::istringstream in(mutated, std::ios::binary);
-    EXPECT_THROW(fault::load_checkpoint(in), ParseError) << what;
+  };
+  const auto expect_parse_error = [&](const std::string& mutated,
+                                      const std::string& what) {
+    EXPECT_THROW(load_from_bytes(mutated), ParseError) << what;
+    expect_restore_error(mutated, what);
   };
 
   // Out-of-range optimizer kind byte.
   auto bad_kind = bytes;
   bad_kind[start] = 0x07;
-  expect_parse_error(bad_kind, "kind byte");
+  expect_parse_error(bad_kind, "invalid optimizer kind");
 
   // Kind/shape mismatch: the sgd byte with adam-shaped slot metadata.
   auto sgd_kind = bytes;
   sgd_kind[start] = 0x00;
-  expect_parse_error(sgd_kind, "kind vs shape");
+  expect_parse_error(sgd_kind, "optimizer shape metadata");
 
-  // Hostile row-counter count of replica 0 (would allocate ~2^60 entries
-  // if the loader trusted it).
+  // Hostile row-counter count of replica 0 (would allocate or write ~2^60
+  // entries if the reader trusted it).
   auto bad_rows = bytes;
   const std::size_t row_count_at = start + 3 + 8 + 8;
   for (int i = 0; i < 8; ++i) {
     bad_rows[row_count_at + i] = static_cast<char>(0xee);
   }
-  expect_parse_error(bad_rows, "row-counter count");
+  expect_parse_error(bad_rows, "row counter count");
 
   // Hostile element count of replica 0 slot 0 (truncated moment matrix:
   // the count claims more floats than the stream holds).
   auto bad_slot = bytes;
   const std::size_t slot_count_at =
-      row_count_at + 8 +
-      ckpt.opt_replicas[0].row_steps.size() * sizeof(std::uint32_t);
+      row_count_at + 8 + rows * sizeof(std::uint32_t);
   for (int i = 0; i < 8; ++i) {
     bad_slot[slot_count_at + i] = static_cast<char>(0xee);
   }
-  expect_parse_error(bad_slot, "slot element count");
+  expect_parse_error(bad_slot, "optimizer slot count");
 
-  // Non-finite moment value: loaded state must be arithmetic-safe.
-  auto nan_ckpt = ckpt;
-  nan_ckpt.opt_replicas[0].slots[1][3] =
-      std::numeric_limits<float>::quiet_NaN();
-  std::ostringstream nan_out(std::ios::binary);
-  fault::save_checkpoint(nan_out, nan_ckpt);
-  expect_parse_error(nan_out.str(), "non-finite moment");
+  // Non-finite moment values: restored state must be arithmetic-safe.
+  const auto with_float = [&](std::size_t at, float v) {
+    auto mutated = bytes;
+    std::memcpy(mutated.data() + at, &v, sizeof(v));
+    return mutated;
+  };
+  const std::size_t slot1_of_replica0 =
+      slot_count_at + 8 + params * sizeof(float) + 8;
+  expect_restore_error(
+      with_float(slot1_of_replica0 + 3 * sizeof(float),
+                 std::numeric_limits<float>::quiet_NaN()),
+      "non-finite optimizer state");
+  const std::size_t slot0_of_replica1 = start + 3 + 8 + replica + 8 +
+                                        (8 + rows * sizeof(std::uint32_t)) + 8;
+  expect_restore_error(
+      with_float(slot0_of_replica1, std::numeric_limits<float>::infinity()),
+      "non-finite optimizer state");
 
-  auto inf_ckpt = ckpt;
-  inf_ckpt.opt_replicas[1].slots[0][0] =
-      std::numeric_limits<float>::infinity();
-  std::ostringstream inf_out(std::ios::binary);
-  fault::save_checkpoint(inf_out, inf_ckpt);
-  expect_parse_error(inf_out.str(), "infinite moment");
-
-  // The pristine bytes still load.
-  std::istringstream ok(bytes, std::ios::binary);
-  EXPECT_NO_THROW(fault::load_checkpoint(ok));
+  // The pristine bytes still load and restore.
+  EXPECT_NO_THROW(load_from_bytes(bytes));
+  EXPECT_NO_THROW(restore_from_bytes(*trainer(), bytes));
 }
 
 // ---- node-level fault events (multi-node hierarchy) -----------------------

@@ -12,6 +12,7 @@
 
 #include "core/result_io.h"
 #include "nn/model.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace hetero {
@@ -104,6 +105,44 @@ TEST(Serialize, BlobEqualsStreamedBytes) {
     EXPECT_EQ(nn::model_blob(model), out.str())
         << model.info().hidden.size() << " hidden layer(s)";
   }
+}
+
+// load_model_into reads what load_any_model reads, straight into a model of
+// the saved shape, and returns the bytes it consumed: serialized_size.
+TEST(Serialize, LoadModelIntoReadsInPlace) {
+  nn::Model deep(20, {10, 7}, 9);
+  util::Rng rng(7);
+  deep.init(rng);
+  for (const nn::Model& model : {small_model(), deep}) {
+    std::stringstream buffer;
+    nn::save_model(buffer, model);
+    EXPECT_EQ(buffer.str().size(), nn::serialized_size(model));
+    nn::Model target(model.info().num_features, model.info().hidden,
+                     model.info().num_classes);
+    EXPECT_EQ(nn::load_model_into(buffer, target),
+              nn::serialized_size(model));
+    EXPECT_EQ(target.to_flat(), model.to_flat());
+  }
+}
+
+// Another shape with the same parameter count is rejected, naming both
+// shapes, before any parameter is read.
+TEST(Serialize, LoadModelIntoRejectsAnotherShape) {
+  const nn::Model impostor(50, {3}, 9);  // 189 parameters, as 20x6x9
+  std::stringstream buffer;
+  nn::save_model(buffer, impostor);
+  auto target = small_model();
+  ASSERT_EQ(target.num_parameters(), impostor.num_parameters());
+  const auto before = target.to_flat();
+  try {
+    nn::load_model_into(buffer, target);
+    ADD_FAILURE() << "loaded a 50x3x9 model into 20x6x9";
+  } catch (const MismatchError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("50x3x9"), std::string::npos) << what;
+    EXPECT_NE(what.find("20x6x9"), std::string::npos) << what;
+  }
+  EXPECT_EQ(target.to_flat(), before);
 }
 
 TEST(Serialize, DeepModelRoundTripsAsV2) {

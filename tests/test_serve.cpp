@@ -23,6 +23,7 @@
 #include "core/adaptive_sgd.h"
 #include "data/synthetic.h"
 #include "fault/checkpoint.h"
+#include "nn/serialize.h"
 #include "pinned_run.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
@@ -163,10 +164,13 @@ TEST_F(ServeTest, SnapshotAtMergeBoundaryMatchesCheckpointBlob) {
 
   // The checkpoint written at the final boundary holds the exact bytes the
   // snapshot captured: serving and fault tolerance see one model state.
-  const auto ckpt = fault::load_checkpoint_file(path);
-  EXPECT_EQ(snap->blob(), ckpt.global_blob);
+  std::ifstream in(path, std::ios::binary);
+  const auto ckpt = fault::load_checkpoint(in);
+  std::string global(snap->blob().size(), '\0');
+  in.read(global.data(), static_cast<std::streamsize>(global.size()));
+  EXPECT_EQ(snap->blob(), global);
   EXPECT_DOUBLE_EQ(snap->vtime(), ckpt.vtime);
-  EXPECT_EQ(fault::capture_checkpoint(trainer).global_blob, snap->blob());
+  EXPECT_EQ(nn::model_blob(trainer.runtime().global_model()), snap->blob());
   std::remove(path.c_str());
 }
 
@@ -216,59 +220,56 @@ TEST_F(ServeTest, ServeFromCheckpointMatchesInTrainingSnapshot) {
 }
 
 TEST_F(ServeTest, ServesFromLegacyCheckpointVersions) {
-  // A v3 checkpoint from a plain-sgd fp32 run carries a 1-byte
-  // compressed=0 flag plus the optimizer section (3 metadata bytes, a u64
-  // replica count, and the per-replica records) immediately before the two
-  // size-prefixed model blobs. v2 = v3 minus the optimizer section; v1
-  // additionally drops the flag byte. Synthesize both by byte surgery (the
-  // writer always emits v3) and serve from them.
+  // A v4 checkpoint from a plain-sgd fp32 run carries a 1-byte
+  // compressed=0 flag, the optimizer section (3 metadata bytes, a u64
+  // replica count, and one u64 step per replica) and the 73-byte run
+  // section immediately before the two size-prefixed model records. v3 =
+  // v4 minus the run section, v2 = v3 minus the optimizer section; v1
+  // additionally drops the flag byte. Synthesize them by byte surgery (the
+  // writer always emits v4) and serve from each.
   core::AdaptiveSgdTrainer trainer(dataset_, config(),
                                    sim::v100_heterogeneous(2));
   trainer.train();
   const auto ckpt = fault::capture_checkpoint(trainer);
-  const auto v3_path = temp_path("serve_v3.ckpt");
-  fault::save_checkpoint_file(v3_path, ckpt);
+  const auto v4_path = temp_path("serve_v4.ckpt");
+  fault::save_checkpoint_file(v4_path, ckpt);
   std::string bytes;
   {
-    std::ifstream in(v3_path, std::ios::binary);
+    std::ifstream in(v4_path, std::ios::binary);
     std::ostringstream buf;
     buf << in.rdbuf();
     bytes = std::move(buf).str();
   }
-  std::size_t opt_section = 3 + 8;
-  for (const auto& rep : ckpt.opt_replicas) {
-    opt_section += 8;  // step
-    if (ckpt.opt_has_row_steps != 0) {
-      opt_section += 8 + rep.row_steps.size() * sizeof(std::uint32_t);
-    }
-    for (const auto& slot : rep.slots) {
-      opt_section += 8 + slot.size() * sizeof(float);
-    }
-  }
-  const std::size_t blob_tail = 8 + ckpt.global_blob.size() + 8 +
-                                ckpt.prev_global_blob.size();
-  const std::size_t flag_at = bytes.size() - (1 + opt_section + blob_tail);
+  const std::string global = nn::model_blob(trainer.runtime().global_model());
+  const std::size_t opt_section = 3 + 8 + 2 * 8;
+  constexpr std::size_t kRunSection = 73;
+  const std::size_t model_tail = 2 * (8 + global.size());
+  const std::size_t run_at = bytes.size() - (kRunSection + model_tail);
+  const std::size_t flag_at = run_at - (1 + opt_section);
   ASSERT_EQ(bytes[flag_at], 0);  // the compressed=0 flag
 
   const auto synthesize = [&](std::uint32_t version, std::size_t strip_at,
                               std::size_t strip_len) {
     std::string legacy = bytes;
     std::memcpy(legacy.data() + 4, &version, sizeof(version));
+    legacy.erase(run_at, kRunSection);
     legacy.erase(strip_at, strip_len);
     const auto path = temp_path("serve_v" + std::to_string(version) + ".ckpt");
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(legacy.data(), static_cast<std::streamsize>(legacy.size()));
     return path;
   };
+  const auto v3_path = synthesize(3, flag_at, 0);
   const auto v2_path = synthesize(2, flag_at + 1, opt_section);
   const auto v1_path = synthesize(1, flag_at, 1 + opt_section);
 
-  serve::SnapshotStore s3, s2, s1;
+  serve::SnapshotStore s4, s3, s2, s1;
+  s4.publish_from_file(v4_path);
   s3.publish_from_file(v3_path);
   s2.publish_from_file(v2_path);
   s1.publish_from_file(v1_path);
-  for (const serve::SnapshotStore* s : {&s1, &s2, &s3}) {
-    EXPECT_EQ((*s).current()->blob(), ckpt.global_blob);
+  for (const serve::SnapshotStore* s : {&s1, &s2, &s3, &s4}) {
+    EXPECT_EQ((*s).current()->blob(), global);
     EXPECT_DOUBLE_EQ((*s).current()->vtime(), ckpt.vtime);
   }
 
@@ -276,13 +277,14 @@ TEST_F(ServeTest, ServesFromLegacyCheckpointVersions) {
   serve::ModelSnapshot reference(trainer.runtime().global_model(), 1,
                                  ckpt.vtime, serve::LshParams{});
   serve::ServerConfig scfg;
-  for (serve::SnapshotStore* s : {&s1, &s2, &s3}) {
+  for (serve::SnapshotStore* s : {&s1, &s2, &s3, &s4}) {
     serve::Server server(*s, scfg);
     for (std::size_t row = 0; row < 4; ++row) {
       const auto resp = server.submit(request_for_row(row)).get();
       expect_same_topk(resp.topk, snapshot_topk(reference, row, scfg.topk));
     }
   }
+  std::remove(v4_path.c_str());
   std::remove(v3_path.c_str());
   std::remove(v2_path.c_str());
   std::remove(v1_path.c_str());
@@ -627,7 +629,18 @@ TEST_F(ServeTest, HotSwapUnderConcurrentReaders) {
       raw_reads.fetch_add(1, std::memory_order_relaxed);
     }
   });
-  std::thread publisher([&] { trainer.train(); });
+  // Publish once the raw reader is spinning (or after 5 s, when the
+  // expectation below fails), so the swaps race it even when the host is
+  // slow to schedule the reader thread.
+  std::thread publisher([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (raw_reads.load(std::memory_order_relaxed) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    trainer.train();
+  });
 
   std::uint64_t last_version = 0;
   std::size_t requests = 0;
@@ -652,7 +665,7 @@ TEST_F(ServeTest, HotSwapUnderConcurrentReaders) {
   EXPECT_GT(raw_reads.load(), 0u);
   // The final snapshot is the final merged model, bit for bit.
   EXPECT_EQ(store.current()->blob(),
-            fault::capture_checkpoint(trainer).global_blob);
+            nn::model_blob(trainer.runtime().global_model()));
 }
 
 }  // namespace
